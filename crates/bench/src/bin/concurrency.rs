@@ -1,11 +1,15 @@
-//! Multi-threaded throughput benchmark: sharded buffer pool + group-commit
-//! WAL against the seed's single-mutex pool + lock-held-across-fsync WAL.
+//! Multi-threaded throughput benchmark of the default engine (sharded
+//! buffer pool, group-commit WAL) across a sweep of thread counts.
 //!
 //! ```text
 //! concurrency [--smoke] [--out PATH]
 //! ```
 //!
-//! For each engine config and each thread count, a fresh *durable* database
+//! Built with `--features obs-noop` the same sweep runs with every metric
+//! compiled out, which is the instrumentation-overhead A/B of experiment
+//! E9; each run row records which build produced it.
+//!
+//! For each thread count, a fresh *durable* database
 //! (file-backed pages + WAL, so commits pay a real fsync) is bulk-loaded
 //! sparse, the reorganization daemon is started, and then N writer threads
 //! (durable commits on disjoint key ranges) race N reader threads (point
@@ -20,7 +24,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use obr_btree::SidePointerMode;
-use obr_core::{Database, EngineConfig, ReorgConfig, ReorgDaemon, ReorgTrigger};
+use obr_core::{Database, ReorgConfig, ReorgDaemon, ReorgTrigger};
 use obr_txn::{Session, TxnError};
 
 /// Each writer owns `[WRITER_BASE + w * WRITER_STRIDE, ..)` — disjoint from
@@ -29,8 +33,14 @@ use obr_txn::{Session, TxnError};
 const WRITER_BASE: u64 = 1 << 32;
 const WRITER_STRIDE: u64 = 1 << 24;
 
+/// Which build ran: instrumented, or with every metric compiled out.
+const CONFIG: &str = if cfg!(feature = "obs-noop") {
+    "obs-noop"
+} else {
+    "default"
+};
+
 struct RunResult {
-    config: &'static str,
     threads: usize,
     commits: u64,
     reads: u64,
@@ -63,10 +73,7 @@ fn xorshift(state: &mut u64) -> u64 {
     *state
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_one(
-    config_name: &'static str,
-    cfg: EngineConfig,
     threads: usize,
     preload: u64,
     pages: u32,
@@ -75,7 +82,7 @@ fn run_one(
     dir: &std::path::Path,
 ) -> RunResult {
     let _ = std::fs::remove_dir_all(dir);
-    let db = Database::create_durable_with_config(dir, pages, frames, SidePointerMode::TwoWay, cfg)
+    let db = Database::create_durable(dir, pages, frames, SidePointerMode::TwoWay)
         .expect("create durable database");
     let records: Vec<(u64, Vec<u8>)> = (0..preload).map(|k| (k, vec![0xB7; 64])).collect();
     // Sparse load so the daemon has real reorganization work during the run.
@@ -162,7 +169,7 @@ fn run_one(
     let reorg_runs = match daemon.stop() {
         Ok(decisions) => decisions.len(),
         Err(e) => {
-            eprintln!("note: reorg daemon gave up for {config_name}/{threads}t: {e}");
+            eprintln!("note: reorg daemon gave up at {threads}t: {e}");
             0
         }
     };
@@ -171,13 +178,12 @@ fn run_one(
     let report = obr_check::check_database(&db);
     let check_clean = report.is_clean();
     if !check_clean {
-        eprintln!("check findings for {config_name}/{threads}t:\n{report}");
+        eprintln!("check findings at {threads}t:\n{report}");
     }
     let metrics_json = db
         .metrics_snapshot()
         .map_or_else(|_| "{}".to_string(), |s| s.to_json());
     let result = RunResult {
-        config: config_name,
         threads,
         commits: commits.load(Ordering::Relaxed),
         reads: reads.load(Ordering::Relaxed),
@@ -194,14 +200,6 @@ fn run_one(
     drop(db);
     let _ = std::fs::remove_dir_all(dir);
     result
-}
-
-fn json_escape_free(s: &str) -> &str {
-    // All strings we emit are static identifiers; assert rather than escape.
-    assert!(s
-        .chars()
-        .all(|c| c.is_ascii_graphic() && c != '"' && c != '\\'));
-    s
 }
 
 /// Effective parallelism of this machine as the scheduler reports it.
@@ -244,7 +242,7 @@ fn emit_json(results: &[RunResult], smoke: bool, out: &std::path::Path) {
              \"restarts\": {}, \"elapsed_ms\": {:.1}, \"ops_per_sec\": {:.1}, \"fsyncs\": {}, \
              \"wal_batches\": {}, \"flush_calls\": {}, \"pool_shards\": {}, \"reorg_runs\": {}, \
              \"check_clean\": {}, \"metrics\": {}}}{}\n",
-            json_escape_free(r.config),
+            CONFIG,
             r.threads,
             r.commits,
             r.reads,
@@ -262,25 +260,6 @@ fn emit_json(results: &[RunResult], smoke: bool, out: &std::path::Path) {
         ));
     }
     body.push_str("  ],\n");
-    body.push_str("  \"speedup_by_threads\": {");
-    let mut first = true;
-    for r in results.iter().filter(|r| r.config == "sharded") {
-        if let Some(base) = results
-            .iter()
-            .find(|b| b.config == "baseline" && b.threads == r.threads)
-        {
-            if !first {
-                body.push_str(", ");
-            }
-            first = false;
-            body.push_str(&format!(
-                "\"{}\": {:.3}",
-                r.threads,
-                r.ops_per_sec() / base.ops_per_sec().max(1e-9)
-            ));
-        }
-    }
-    body.push_str("},\n");
     let all_clean = results.iter().all(|r| r.check_clean);
     body.push_str(&format!("  \"all_checks_clean\": {all_clean}\n"));
     body.push_str("}\n");
@@ -334,38 +313,31 @@ fn main() {
     let tmp = std::env::temp_dir().join(format!("obr-bench-conc-{}", std::process::id()));
     let mut results = Vec::new();
     for &threads in thread_counts {
-        for (name, cfg) in [
-            ("baseline", EngineConfig::single_mutex_baseline()),
-            ("sharded", EngineConfig::default()),
-        ] {
-            let r = run_one(
-                name,
-                cfg,
-                threads,
-                preload,
-                pages,
-                frames,
-                window,
-                &tmp.join(format!("{name}-{threads}")),
-            );
-            println!(
-                "{:>8} {:>2} threads: {:>8.0} ops/s ({} commits, {} reads, {} restarts) | \
-                 {} flushes -> {} batches, {} fsyncs | {} shards, {} reorg runs, check {}",
-                r.config,
-                r.threads,
-                r.ops_per_sec(),
-                r.commits,
-                r.reads,
-                r.restarts,
-                r.flush_calls,
-                r.wal_batches,
-                r.fsyncs,
-                r.pool_shards,
-                r.reorg_runs,
-                if r.check_clean { "clean" } else { "DIRTY" },
-            );
-            results.push(r);
-        }
+        let r = run_one(
+            threads,
+            preload,
+            pages,
+            frames,
+            window,
+            &tmp.join(format!("run-{threads}")),
+        );
+        println!(
+            "{:>8} {:>2} threads: {:>8.0} ops/s ({} commits, {} reads, {} restarts) | \
+             {} flushes -> {} batches, {} fsyncs | {} shards, {} reorg runs, check {}",
+            CONFIG,
+            r.threads,
+            r.ops_per_sec(),
+            r.commits,
+            r.reads,
+            r.restarts,
+            r.flush_calls,
+            r.wal_batches,
+            r.fsyncs,
+            r.pool_shards,
+            r.reorg_runs,
+            if r.check_clean { "clean" } else { "DIRTY" },
+        );
+        results.push(r);
     }
     let _ = std::fs::remove_dir_all(&tmp);
     emit_json(&results, smoke, &out);

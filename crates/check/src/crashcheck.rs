@@ -35,10 +35,10 @@
 //!   all-or-nothing).
 //!
 //! Torn tails are covered separately: sampled byte-level truncations of the
-//! log image are written to a scratch file and reopened through
-//! [`LogManager::open_file`], asserting the file path resolves every torn
-//! tail to the record boundary below it — which the boundary enumeration
-//! already verified.
+//! log image are written as the one active segment of a scratch directory
+//! and reopened through [`LogManager::open_dir`], asserting the reopen
+//! resolves every torn tail to the record boundary below it — which the
+//! boundary enumeration already verified.
 //!
 //! # Segmented-WAL coverage
 //!
@@ -128,7 +128,7 @@ pub struct CrashCheckStats {
     pub crash_states: u64,
     /// Crash states actually verified (== `crash_states` when exhaustive).
     pub states_checked: u64,
-    /// Byte-level torn-tail truncations verified through the file path.
+    /// Byte-level torn-tail truncations verified through a reopen.
     pub torn_tails_checked: u64,
     /// Reorganization units recovery completed forward, summed over states.
     pub forward_units_completed: u64,
@@ -825,8 +825,9 @@ fn check_tree(sc: &Scenario, st: CrashState, db: &Arc<Database>, when: &str, rep
     }
 }
 
-/// Verify sampled byte-level torn tails: a truncated WAL file must reopen
-/// to exactly the record boundary below the cut, which the boundary
+/// Verify sampled byte-level torn tails: the log image cut at a random byte
+/// and written as one active segment named after the run's first LSN must
+/// reopen to exactly the record boundary below the cut, which the boundary
 /// enumeration has already proven recoverable.
 fn verify_torn_tails(
     sc: &Scenario,
@@ -838,43 +839,34 @@ fn verify_torn_tails(
     if opts.torn_tail_samples == 0 {
         return;
     }
-    // Segmented scenarios skip the single-file path: `open_file` numbers
-    // records from LSN 1, but a recycled segmented log starts later. Their
-    // torn tails go through `open_dir` in [`verify_segment_states`].
-    if sc.wal_dir.is_some() {
-        return;
-    }
-    if let Err(e) = std::fs::create_dir_all(scratch) {
-        report.error(
-            CHECKER,
-            "checker-error",
-            None,
-            None,
-            format!("cannot create scratch dir {}: {e}", scratch.display()),
-        );
-        return;
-    }
     let (first_lsn, frames) = sc.log.frames_snapshot();
     let bytes = LogReader::encode_frames(frames.iter().map(Vec::as_slice));
     if bytes.is_empty() {
         return;
     }
     let mut rng = Prng::new(opts.seed ^ 0x70_72_6e);
-    let path = scratch.join(format!("torn-{}.wal", sc.name));
+    let dir = scratch.join(format!("torn-{}", sc.name));
     for _ in 0..opts.torn_tail_samples {
         let cut = rng.below(bytes.len() + 1);
         let expect = LogReader::last_lsn(&LogReader::scan(&bytes[..cut]), first_lsn);
-        if let Err(e) = std::fs::write(&path, &bytes[..cut]) {
+        std::fs::remove_dir_all(&dir).ok();
+        let written = std::fs::create_dir_all(&dir).and_then(|()| {
+            std::fs::write(
+                dir.join(segment::segment_file_name(first_lsn)),
+                &bytes[..cut],
+            )
+        });
+        if let Err(e) = written {
             report.error(
                 CHECKER,
                 "checker-error",
                 None,
                 None,
-                format!("cannot write scratch file: {e}"),
+                format!("cannot write scratch segment under {}: {e}", dir.display()),
             );
             return;
         }
-        match LogManager::open_file(&path) {
+        match LogManager::open_dir(&dir, u64::MAX) {
             Ok(log) => {
                 let got = log.durable_lsn();
                 if got != expect {
@@ -884,7 +876,7 @@ fn verify_torn_tails(
                         None,
                         Some(expect),
                         format!(
-                            "[scenario {}] WAL truncated at byte {cut}: open_file \
+                            "[scenario {}] WAL truncated at byte {cut}: open_dir \
                              recovered through LSN {got}, scan says the clean \
                              prefix ends at LSN {expect}",
                             sc.name
@@ -907,6 +899,7 @@ fn verify_torn_tails(
         }
         stats.torn_tails_checked += 1;
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Verify the segment-directory crash artifacts of a segmented-WAL

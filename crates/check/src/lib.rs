@@ -27,8 +27,8 @@
 //!   each one back to a committed, fsck-clean state.
 //! - [`srclint`] — concurrency source lint. Textual rules keeping the
 //!   hot paths analyzable by the interleaving explorer: justified
-//!   `Relaxed` orderings, no raw sync primitives bypassing the
-//!   `obr-sync` facade, no locking inside `unsafe`, documented unsafe.
+//!   `Relaxed` orderings and no raw sync primitives bypassing the
+//!   `obr-sync` facade.
 //! - [`lockorder`] — lock-acquisition-order manifest checker. Diffs the
 //!   lock-order edges observed by the `obr-race` explorer against the
 //!   committed manifest `check/lockorder.toml` and proves the declared
@@ -68,9 +68,7 @@ pub use lockorder::{
 pub use protocol::{check_protocol, check_sources, scan_files};
 pub use report::{Finding, Report, Severity};
 pub use srclint::{check_whitelist, lint_sources, FACADE_EXEMPT, RELAXED_OK};
-pub use wal_lint::{
-    lint_log, lint_records, lint_wal_dir, lint_wal_file, lint_wal_path, WalLintOptions,
-};
+pub use wal_lint::{lint_log, lint_records, lint_wal_dir, WalLintOptions};
 
 use obr_core::Database;
 

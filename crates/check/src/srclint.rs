@@ -1,7 +1,7 @@
 //! Concurrency source lint: lexical rules that keep the engine's hot
 //! paths analyzable by the interleaving explorer.
 //!
-//! Four rules, all reported through [`crate::Report`] with checker name
+//! Two rules, both reported through [`crate::Report`] with checker name
 //! `"srclint"`:
 //!
 //! 1. **`relaxed-unjustified`** — every `Ordering::Relaxed` use must
@@ -15,22 +15,22 @@
 //!    `parking_lot` directly creates sync operations the model scheduler
 //!    cannot see. Paths in [`FACADE_EXEMPT`] (the facade itself, shims,
 //!    tooling) are excluded.
-//! 3. **`lock-in-unsafe`** — `.lock()` calls inside `unsafe` blocks:
-//!    a blocking acquisition in an unsafe region couples lock-order
-//!    hazards with memory-safety obligations; hoist the acquisition out.
-//! 4. **`undocumented-unsafe`** — any `unsafe` token without a
-//!    `SAFETY:` comment on the same line or within the three preceding
-//!    lines (defense in depth next to the workspace-level
-//!    `clippy::undocumented_unsafe_blocks = "deny"`).
+//!
+//! There is no `unsafe` rule: the workspace sets `unsafe_code = "forbid"`,
+//! so the compiler rejects any `unsafe` block.
 //!
 //! Rules match against the *code-only* line view produced by
 //! [`crate::lexer::code_lines`]: comments are dropped and string-literal
 //! contents are blanked before any needle is searched, so a pattern
 //! quoted in a message, a doc comment, or a test fixture can never trip
 //! a rule. That is also why the needles below can be plain constants —
-//! this file scans itself without special-casing. Justification markers
-//! (`relaxed:`, `SAFETY:`) live in comments, so those alone are searched
-//! on the raw lines.
+//! this file scans itself without special-casing. The justification
+//! marker (`relaxed:`) lives in comments, so it alone is searched on the
+//! raw lines.
+//!
+//! The scan covers the workspace tree only: a nested directory whose
+//! `Cargo.toml` declares a `[workspace]` of its own is a separate project
+//! and is skipped.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -127,18 +127,15 @@ const RELAXED: &str = "Ordering :: Relaxed";
 const PARKING: &str = "parking_lot";
 const STD_SYNC: &str = "std :: sync ::";
 const STD_ATOMIC: &str = "std :: sync :: atomic";
-const UNSAFE_KW: &str = "unsafe";
-const LOCK_CALL: &str = ". lock (";
 const FACADE_TYPES: &[&str] = &["Mutex", "RwLock", "Condvar", "Barrier"];
-// Comment markers, searched on raw lines (comments are absent from the
-// code view). Matching a marker only ever *clears* a finding, so the
+// Comment marker, searched on raw lines (comments are absent from the
+// code view). Matching the marker only ever *clears* a finding, so the
 // string-blindness of a raw-line search is the lenient direction.
 const RELAXED_MARK: &str = "relaxed:";
-const SAFETY_MARK: &str = "SAFETY:";
 
 /// Lint every `.rs` file under `root` (the workspace checkout), skipping
-/// `target/` and VCS directories. Returns all findings plus summary
-/// notes.
+/// `target/`, VCS directories and nested workspaces. Returns all findings
+/// plus summary notes.
 pub fn lint_sources(root: &Path) -> Report {
     let mut report = Report::new();
     let mut files = Vec::new();
@@ -183,21 +180,19 @@ fn lint_file(report: &mut Report, rel: &Path, text: &str) -> usize {
         .iter()
         .any(|seg| rel_str.contains(seg));
     let facade_exempt = test_code || FACADE_EXEMPT.iter().any(|p| rel_str.starts_with(p));
-    let marker_near = |idx: usize, span: usize, marker: &str| -> bool {
-        let lo = idx.saturating_sub(span);
-        raw.get(lo..=idx)
-            .map(|window| window.iter().any(|l| l.contains(marker)))
-            .unwrap_or(false)
+    // A justification comment on the same line or the five before it.
+    let justified = |idx: usize| {
+        raw.get(idx.saturating_sub(5)..=idx)
+            .is_some_and(|window| window.iter().any(|l| l.contains(RELAXED_MARK)))
     };
     let mut relaxed_sites = 0usize;
-    let mut unsafe_depth: i32 = 0;
     for (idx, line) in code.iter().enumerate() {
         let lineno = idx + 1;
 
         // Rule 1: Relaxed needs a nearby justification or a whitelist.
         if line.contains(RELAXED) {
             relaxed_sites += 1;
-            if !relaxed_whitelisted && !marker_near(idx, 5, RELAXED_MARK) {
+            if !relaxed_whitelisted && !justified(idx) {
                 report.error(
                     "srclint",
                     "relaxed-unjustified",
@@ -229,45 +224,6 @@ fn lint_file(report: &mut Report, rel: &Path, text: &str) -> usize {
                     ),
                 );
             }
-        }
-
-        // Rules 3 + 4: unsafe tracking. Brace depth is line-based and
-        // conservative — acceptable because the workspace target state
-        // is zero unsafe (clippy denies undocumented blocks too).
-        let opens = line.matches('{').count() as i32;
-        let closes = line.matches('}').count() as i32;
-        if contains_word(line, UNSAFE_KW) {
-            if !marker_near(idx, 3, SAFETY_MARK) {
-                report.error(
-                    "srclint",
-                    "undocumented-unsafe",
-                    None,
-                    None,
-                    format!("{rel_str}:{lineno}: unsafe without a SAFETY: comment"),
-                );
-            }
-            if line.contains(LOCK_CALL) {
-                report.error(
-                    "srclint",
-                    "lock-in-unsafe",
-                    None,
-                    None,
-                    format!("{rel_str}:{lineno}: blocking lock acquisition inside unsafe"),
-                );
-            }
-            // Track the block only if it stays open past this line.
-            unsafe_depth += (opens - closes).max(0);
-        } else if unsafe_depth > 0 {
-            if line.contains(LOCK_CALL) {
-                report.error(
-                    "srclint",
-                    "lock-in-unsafe",
-                    None,
-                    None,
-                    format!("{rel_str}:{lineno}: blocking lock acquisition inside unsafe"),
-                );
-            }
-            unsafe_depth = (unsafe_depth + opens - closes).max(0);
         }
     }
     relaxed_sites
@@ -301,7 +257,7 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
     for path in names {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if path.is_dir() {
-            if matches!(name, "target" | ".git" | ".github") {
+            if matches!(name, "target" | ".git" | ".github") || declares_workspace(&path) {
                 continue;
             }
             collect_rs_files(root, &path, out);
@@ -311,6 +267,16 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
             }
         }
     }
+}
+
+/// True when `dir/Cargo.toml` declares a `[workspace]` (or one of its
+/// `[workspace.*]` tables): the directory is the root of another project.
+fn declares_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|toml| {
+        toml.lines().map(str::trim).any(|line| {
+            line == "[workspace]" || line.starts_with("[workspace.") && line.ends_with(']')
+        })
+    })
 }
 
 /// Sanity guard for the whitelist itself: every whitelisted file must
@@ -442,23 +408,26 @@ mod tests {
     }
 
     #[test]
-    fn undocumented_unsafe_and_lock_inside_it() {
-        let bad = "fn f() { unsafe { g.lock(); } }\n";
-        let good = "// SAFETY: region is a no-op placeholder\nfn f() { unsafe { } }\n";
+    fn nested_workspace_is_skipped() {
+        let import = "use parking_lot::Mutex;\n";
         let root = scratch_tree(&[
-            ("crates/core/src/a.rs", bad),
-            ("crates/core/src/b.rs", good),
+            ("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n"),
+            ("crates/core/Cargo.toml", "[package]\nname = \"core\"\n"),
+            ("crates/core/src/a.rs", import),
+            (
+                "bench/Cargo.toml",
+                "[package]\nname = \"bench\"\n\n[workspace]\n",
+            ),
+            ("bench/src/main.rs", import),
         ]);
         let r = lint_sources(&root);
-        assert!(
-            r.findings.iter().any(|f| f.code == "undocumented-unsafe"),
-            "{r}"
-        );
-        assert!(r.findings.iter().any(|f| f.code == "lock-in-unsafe"), "{r}");
-        assert!(
-            !r.findings.iter().any(|f| f.detail.contains("b.rs")),
-            "documented empty unsafe must pass: {r}"
-        );
+        let flagged: Vec<_> = r
+            .findings
+            .iter()
+            .filter(|f| f.code == "facade-bypass")
+            .collect();
+        assert_eq!(flagged.len(), 1, "{r}");
+        assert!(flagged[0].detail.contains("crates/core"), "{r}");
         std::fs::remove_dir_all(root).unwrap();
     }
 

@@ -1,4 +1,4 @@
-//! WAL linter: read-only structural replay of a log file.
+//! WAL linter: read-only structural replay of a log.
 //!
 //! The linter parses a log without truncating or repairing it (unlike
 //! [`obr_wal::LogManager`]'s open path, which trims torn tails) and checks
@@ -25,6 +25,13 @@
 //!   without brackets).
 //! - **Pass-3 progress** — `stable_key` never regresses within one build
 //!   of the new tree (it resets at the switch).
+//!
+//! A log whose first record has an LSN above 1 was truncated: recycling
+//! drops whole segments, so the log can start inside the reorganization
+//! unit (and the transactions) that were open at the cut. Records of that
+//! one inherited unit, ends of transactions that began before the cut and
+//! checkpoint references below it are not findings; a log that starts at
+//! LSN 1 is held to every rule.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Read;
@@ -50,6 +57,8 @@ pub struct WalLintOptions {
 /// The in-flight reorganization unit while scanning.
 struct OpenUnit {
     unit: UnitId,
+    /// [`Lsn::ZERO`] for a unit inherited from before a truncated log's
+    /// first LSN.
     begin_lsn: Lsn,
     recent_lsn: Lsn,
     chain_broken: bool,
@@ -73,10 +82,18 @@ struct Linter<'a> {
     checkpoints: u64,
     stable_key: Option<u64>,
     records: u64,
+    /// First LSN of a truncated log (`None` when the log starts at LSN 1):
+    /// records that refer below it refer to the recycled prefix.
+    start: Option<Lsn>,
+    /// True until the first unit boundary of a truncated log: a chained
+    /// record or END seen while it holds belongs to the unit that was open
+    /// at the cut.
+    inherit_unit: bool,
 }
 
 impl<'a> Linter<'a> {
-    fn new(opts: &'a WalLintOptions) -> Linter<'a> {
+    fn new(opts: &'a WalLintOptions, first_lsn: Option<Lsn>) -> Linter<'a> {
+        let start = first_lsn.filter(|&l| l > Lsn(1));
         Linter {
             opts,
             report: Report::new(),
@@ -87,12 +104,31 @@ impl<'a> Linter<'a> {
             checkpoints: 0,
             stable_key: None,
             records: 0,
+            start,
+            inherit_unit: start.is_some(),
         }
+    }
+
+    /// True when `lsn` lies in the recycled prefix of a truncated log.
+    fn before_start(&self, lsn: Lsn) -> bool {
+        self.start.is_some_and(|start| lsn < start)
     }
 
     /// Check a chained record's `unit`/`prev_lsn` against the open unit and
     /// advance the chain. Returns `false` when the record is orphaned.
     fn chain(&mut self, lsn: Lsn, unit: UnitId, prev_lsn: Lsn, what: &str) -> bool {
+        if self.open.is_none() && self.inherit_unit && self.before_start(prev_lsn) {
+            // The unit's earlier records were recycled: pick up its chain.
+            self.inherit_unit = false;
+            self.open = Some(OpenUnit {
+                unit,
+                begin_lsn: Lsn::ZERO,
+                recent_lsn: prev_lsn,
+                chain_broken: false,
+                moves: Vec::new(),
+                work: 0,
+            });
+        }
         let Some(open) = self.open.as_mut() else {
             self.report.error(
                 CHECKER,
@@ -144,6 +180,7 @@ impl<'a> Linter<'a> {
         match rec {
             LogRecord::ReorgBegin { unit, .. } => {
                 self.reorg_lsns.insert(lsn);
+                self.inherit_unit = false;
                 if let Some(open) = &self.open {
                     self.report.error(
                         CHECKER,
@@ -178,12 +215,12 @@ impl<'a> Linter<'a> {
                 if let MovePayload::Records(_) = payload {
                     // A full-record payload is only legal as the §5.2
                     // compensating move, which reverses an earlier
-                    // (org, dest) pair of the same unit.
+                    // (org, dest) pair of the same unit (unknowable for an
+                    // inherited unit, whose forward MOVEs were recycled).
                     let is_undo = in_unit
-                        && self
-                            .open
-                            .as_ref()
-                            .is_some_and(|o| o.moves.contains(&(*dest, *org)));
+                        && self.open.as_ref().is_some_and(|o| {
+                            o.begin_lsn == Lsn::ZERO || o.moves.contains(&(*dest, *org))
+                        });
                     if !is_undo && !self.opts.allow_full_records {
                         self.report.error(
                             CHECKER,
@@ -217,7 +254,10 @@ impl<'a> Linter<'a> {
             }
             LogRecord::ReorgEnd { unit, .. } => {
                 self.reorg_lsns.insert(lsn);
+                let inherited = std::mem::take(&mut self.inherit_unit);
                 match self.open.take() {
+                    // Everything but the END was recycled.
+                    None if inherited => self.finished_units += 1,
                     None => self.report.error(
                         CHECKER,
                         "orphan-end",
@@ -258,7 +298,7 @@ impl<'a> Linter<'a> {
             LogRecord::Checkpoint { data } => {
                 self.checkpoints += 1;
                 let snap = &data.reorg;
-                if let Some(recent) = snap.recent_lsn {
+                if let Some(recent) = snap.recent_lsn.filter(|&l| !self.before_start(l)) {
                     if recent >= lsn {
                         self.report.error(
                             CHECKER,
@@ -283,7 +323,7 @@ impl<'a> Linter<'a> {
                         );
                     }
                 }
-                if let Some(begin) = snap.begin_lsn {
+                if let Some(begin) = snap.begin_lsn.filter(|&l| !self.before_start(l)) {
                     if begin >= lsn || !self.reorg_lsns.contains(&begin) {
                         self.report.error(
                             CHECKER,
@@ -345,7 +385,9 @@ impl<'a> Linter<'a> {
                 }
             }
             LogRecord::TxnCommit { txn } | LogRecord::TxnAbort { txn } => {
-                if *txn != TxnId::SYSTEM && self.txns.remove(txn).is_none() {
+                // In a truncated log the BEGIN may have been recycled.
+                if *txn != TxnId::SYSTEM && self.txns.remove(txn).is_none() && self.start.is_none()
+                {
                     self.report.error(
                         CHECKER,
                         "txn-unpaired-end",
@@ -405,7 +447,7 @@ impl<'a> Linter<'a> {
 
 /// Lint an already-decoded record sequence.
 pub fn lint_records(records: &[(Lsn, LogRecord)], opts: &WalLintOptions) -> Report {
-    let mut linter = Linter::new(opts);
+    let mut linter = Linter::new(opts, records.first().map(|(lsn, _)| *lsn));
     let mut last: Option<Lsn> = None;
     for (lsn, rec) in records {
         if let Some(prev) = last {
@@ -443,57 +485,18 @@ pub fn lint_log(log: &LogManager, opts: &WalLintOptions) -> Report {
     }
 }
 
-/// Lint a log file on disk without repairing it.
+/// Lint a WAL directory (`wal-<first-LSN>.seg` files) without repairing
+/// it.
 ///
-/// Unlike [`LogManager`]'s open path this never truncates a torn tail:
-/// the tail is reported as a finding naming the byte offset and the last
-/// intact LSN before it, and the intact prefix is linted. Frame parsing is
-/// [`LogReader::scan`], the same parser the open path uses, so the linter
-/// and recovery agree on where the clean prefix ends.
-pub fn lint_wal_file(path: &Path, opts: &WalLintOptions) -> std::io::Result<Report> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-
-    let scan = LogReader::scan(&bytes);
-    let mut report = Report::new();
-    if let Some(tail) = scan.torn {
-        let last = scan.records.len() as u64;
-        let (code, what) = match tail.reason {
-            TornReason::TruncatedLength => {
-                ("torn-frame", "trailing bytes too short for a frame header")
-            }
-            TornReason::TruncatedFrame => ("torn-frame", "frame cut short"),
-            TornReason::Undecodable => ("undecodable-frame", "frame bytes do not decode"),
-        };
-        report.error(
-            CHECKER,
-            code,
-            None,
-            Some(Lsn(last)),
-            format!(
-                "{what} at byte offset {}; last intact record is LSN {last}",
-                tail.offset
-            ),
-        );
-    }
-    let records: Vec<(Lsn, LogRecord)> = scan
-        .records
-        .into_iter()
-        .enumerate()
-        .map(|(i, rec)| (Lsn(i as u64 + 1), rec))
-        .collect();
-    report.merge(lint_records(&records, opts));
-    Ok(report)
-}
-
-/// Lint a segmented WAL directory (`wal-<first-LSN>.seg` files) without
-/// repairing it.
-///
-/// Segment-level structure is checked first — contiguous first-LSN naming,
-/// no empty or torn **sealed** segments (only the active segment, the one
-/// with the highest first LSN, may legitimately end mid-frame after a
-/// crash) — then the concatenated record stream is linted exactly like a
-/// single file.
+/// Unlike [`LogManager`]'s open path this never truncates a torn tail: the
+/// tail is reported as a finding naming the byte offset and the last intact
+/// LSN before it. Frame parsing is [`LogReader::scan`], the same parser the
+/// open path uses, so the linter and recovery agree on where the clean
+/// prefix ends. Segment-level structure is checked first — contiguous
+/// first-LSN naming, no empty or torn **sealed** segments (only the active
+/// segment, the one with the highest first LSN, may legitimately end
+/// mid-frame after a crash) — then the concatenated record stream is
+/// linted with [`lint_records`].
 pub fn lint_wal_dir(dir: &Path, opts: &WalLintOptions) -> std::io::Result<Report> {
     let segments = obr_wal::segment::list_segments(dir)?;
     let mut report = Report::new();
@@ -595,17 +598,6 @@ pub fn lint_wal_dir(dir: &Path, opts: &WalLintOptions) -> std::io::Result<Report
     ));
     report.merge(lint_records(&records, opts));
     Ok(report)
-}
-
-/// Lint a WAL at `path`, dispatching on its layout: a directory is linted
-/// as a segmented log ([`lint_wal_dir`]), a file as a single-file log
-/// ([`lint_wal_file`]).
-pub fn lint_wal_path(path: &Path, opts: &WalLintOptions) -> std::io::Result<Report> {
-    if path.is_dir() {
-        lint_wal_dir(path, opts)
-    } else {
-        lint_wal_file(path, opts)
-    }
 }
 
 #[cfg(test)]
@@ -743,6 +735,65 @@ mod tests {
             "{r}"
         );
         assert_eq!(r.error_count(), 0, "{r}");
+    }
+
+    #[test]
+    fn truncated_log_may_start_inside_a_unit() {
+        // Unit 1 began at LSN 10, MOVEd at 11; the log was truncated at 12.
+        use obr_wal::{CheckpointData, ReorgTableSnapshot};
+        let tail = vec![
+            (Lsn(12), mv(1, 11, 20, 11)),
+            // Taken while unit 1 was in flight.
+            (
+                Lsn(13),
+                LogRecord::Checkpoint {
+                    data: CheckpointData {
+                        reorg: ReorgTableSnapshot {
+                            lk: None,
+                            begin_lsn: Some(Lsn(10)),
+                            recent_lsn: Some(Lsn(11)),
+                        },
+                        active_txns: vec![(TxnId(7), Lsn(9))],
+                        pass3: None,
+                    },
+                },
+            ),
+            (Lsn(14), end(1)),
+            (Lsn(15), LogRecord::TxnCommit { txn: TxnId(7) }),
+            (Lsn(16), begin(2)),
+            (Lsn(17), mv(2, 10, 20, 16)),
+            (Lsn(18), end(2)),
+        ];
+        let r = lint_records(&tail, &WalLintOptions::default());
+        assert!(r.is_clean(), "{r}");
+        // Only the END survived the cut.
+        let r = lint_records(&[(Lsn(14), end(1))], &WalLintOptions::default());
+        assert!(r.is_clean(), "{r}");
+
+        // A log that starts at LSN 1 has no recycled prefix to inherit from.
+        let whole: Vec<_> = tail
+            .iter()
+            .map(|(l, rec)| (Lsn(l.0 - 11), rec.clone()))
+            .collect();
+        let r = lint_records(&whole, &WalLintOptions::default());
+        for code in [
+            "orphan-unit-record",
+            "checkpoint-dangling-lsn",
+            "orphan-end",
+            "txn-unpaired-end",
+        ] {
+            assert!(r.findings.iter().any(|f| f.code == code), "{code}: {r}");
+        }
+
+        // Only the unit open at the cut is inherited: a later orphan is
+        // still an orphan.
+        let mut later = tail.clone();
+        later.push((Lsn(19), mv(3, 10, 20, 2)));
+        let r = lint_records(&later, &WalLintOptions::default());
+        assert!(
+            r.findings.iter().any(|f| f.code == "orphan-unit-record"),
+            "{r}"
+        );
     }
 
     #[test]

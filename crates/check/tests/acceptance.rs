@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use obr_btree::SidePointerMode;
-use obr_check::{fsck_file, lint_wal_dir, lint_wal_file, FsckOptions, WalLintOptions};
+use obr_check::{fsck_file, lint_wal_dir, FsckOptions, WalLintOptions};
 use obr_core::{Database, ReorgConfig, Reorganizer};
 use obr_storage::{InMemoryDisk, PageType, PAGE_SIZE};
 use obr_txn::Session;
@@ -35,7 +35,7 @@ impl Drop for Scratch {
 }
 
 /// Build a durable database, load it, punch deletion holes, reorganize,
-/// flush, and drop it — leaving `pages.db` and `wal.log` behind.
+/// flush, and drop it — leaving `pages.db` and the `wal/` segments behind.
 fn build_reorganized_db(dir: &Path) {
     let db = Database::create_durable(dir, 2048, 512, SidePointerMode::TwoWay).unwrap();
     let session = Session::new(Arc::clone(&db));
@@ -217,13 +217,6 @@ fn truncated_wal_is_caught_naming_the_tear() {
             .any(|f| f.code == "torn-frame" && f.lsn == Some(last_intact)),
         "no torn-frame finding naming LSN {last_intact}: {report}"
     );
-
-    // File mode still works on a bare segment file.
-    let file_report = lint_wal_file(&seg, &WalLintOptions::default()).unwrap();
-    assert!(
-        file_report.findings.iter().any(|f| f.code == "torn-frame"),
-        "{file_report}"
-    );
 }
 
 #[test]
@@ -272,4 +265,52 @@ fn reordered_wal_is_caught_naming_the_lsn() {
             .any(|f| f.code == "broken-prev-chain" && f.lsn == Some(lsn)),
         "no broken-prev-chain finding naming LSN {lsn}: {report}"
     );
+}
+
+/// A truncated log restarts inside a reorganization unit: recycling drops
+/// whole segments, so when the segment holding the checkpoint begins after
+/// some unit's BEGIN, the reopened log carries that unit's later records
+/// but not its BEGIN. Recovery handles this, and the checkers must not
+/// report the inherited records as orphans.
+#[test]
+fn truncated_restart_inside_a_unit_checks_clean() {
+    use obr_core::{recover, EngineConfig};
+    use obr_wal::LogRecord;
+
+    let scratch = Scratch::new("trunc-restart");
+    // Every flush batch seals its segment, so segment boundaries fall
+    // wherever the log was forced.
+    let cfg = EngineConfig {
+        wal_segment_bytes: 1,
+        ..EngineConfig::default()
+    };
+    let db = Database::create_durable_with_config(
+        scratch.path(),
+        2048,
+        512,
+        SidePointerMode::TwoWay,
+        cfg,
+    )
+    .unwrap();
+    let records: Vec<(u64, Vec<u8>)> = (0..600u64).map(|k| (k, vec![0xab; 24])).collect();
+    db.tree().bulk_load(&records, 0.3, 0.5).unwrap();
+    // A reorganization cycle. Its units are appended but not forced, so
+    // the checkpoint's flushes cut the log wherever a page LSN ends.
+    Reorganizer::new(Arc::clone(&db), ReorgConfig::default())
+        .pass1_compact()
+        .unwrap();
+    db.truncate_log().unwrap();
+    db.crash(|_| false).unwrap();
+    drop(db);
+
+    let db = Database::open_durable(scratch.path(), 512, SidePointerMode::TwoWay).unwrap();
+    recover(&db).unwrap();
+    let first = db.log().first_lsn();
+    let (_, rec) = &db.log().records_from(first).unwrap()[0];
+    assert!(
+        rec.is_reorg() && !matches!(rec, LogRecord::ReorgBegin { .. }),
+        "the truncated log must start inside a unit, not at {rec:?}"
+    );
+    let report = obr_check::check_database(&db);
+    assert!(report.is_clean(), "{report}");
 }

@@ -19,15 +19,10 @@ use crate::sidefile::SideFile;
 /// Sentinel for "no pass-3 read position" (reorganization idle).
 pub const CK_IDLE: u64 = u64::MAX;
 
-/// Knobs for the engine's concurrency substrates. [`Default`] is the tuned
-/// configuration; the degraded settings exist so benchmarks can measure
-/// what each optimization buys (`EngineConfig::single_mutex_baseline`).
+/// Engine knobs: the disk layout, the WAL segment size and the network
+/// frontend's admission limits. [`Default`] is the tuned configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Buffer-pool shard count; `None` sizes it to the machine.
-    pub pool_shards: Option<usize>,
-    /// Batch concurrent WAL committers into shared fsyncs (on by default).
-    pub group_commit: bool,
     /// Pages reserved at the front of the disk for meta/internal pages.
     pub internal_region_pages: u32,
     /// Seal threshold for durable WAL segments: once the active segment
@@ -58,32 +53,11 @@ pub const DEFAULT_ADMISSION_QUEUE: usize = 128;
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            pool_shards: None,
-            group_commit: true,
             internal_region_pages: 0,
             wal_segment_bytes: DEFAULT_WAL_SEGMENT_BYTES,
             max_sessions: DEFAULT_MAX_SESSIONS,
             admission_queue: DEFAULT_ADMISSION_QUEUE,
         }
-    }
-}
-
-impl EngineConfig {
-    /// The pre-sharding, pre-group-commit engine: one frame-table mutex, one
-    /// log lock held across fsync. Exists for A/B benchmarking only.
-    pub fn single_mutex_baseline() -> Self {
-        EngineConfig {
-            pool_shards: Some(1),
-            group_commit: false,
-            ..EngineConfig::default()
-        }
-    }
-
-    fn build_pool(&self, disk: &Arc<dyn DiskManager>, frames: usize) -> Arc<BufferPool> {
-        Arc::new(match self.pool_shards {
-            Some(n) => BufferPool::with_shards(Arc::clone(disk), frames, n),
-            None => BufferPool::new(Arc::clone(disk), frames),
-        })
     }
 }
 
@@ -174,38 +148,11 @@ impl Database {
         side: SidePointerMode,
         internal_region_pages: u32,
     ) -> CoreResult<Arc<Database>> {
-        Self::create_with_config(
-            disk,
-            pool_frames,
-            side,
-            EngineConfig {
-                internal_region_pages,
-                ..EngineConfig::default()
-            },
-        )
-    }
-
-    /// Like [`Self::create`], with explicit [`EngineConfig`] knobs (pool
-    /// sharding, WAL group commit, region split).
-    pub fn create_with_config(
-        disk: Arc<dyn DiskManager>,
-        pool_frames: usize,
-        side: SidePointerMode,
-        cfg: EngineConfig,
-    ) -> CoreResult<Arc<Database>> {
-        let pool = cfg.build_pool(&disk, pool_frames);
-        let fsm = Arc::new(FreeSpaceMap::new_all_free(disk.num_pages()));
-        fsm.set_leaf_boundary(PageId(cfg.internal_region_pages));
-        let log = Arc::new(LogManager::new());
-        log.set_group_commit(cfg.group_commit);
-        pool.set_wal(Arc::clone(&log) as Arc<dyn WalFlush>);
-        let tree = Arc::new(BTree::create(
-            Arc::clone(&pool),
-            Arc::clone(&fsm),
-            Arc::clone(&log),
-            side,
-        )?);
-        Ok(Self::assemble(disk, pool, fsm, log, tree))
+        let cfg = EngineConfig {
+            internal_region_pages,
+            ..EngineConfig::default()
+        };
+        Self::create_with_log(disk, Arc::new(LogManager::new()), pool_frames, side, cfg)
     }
 
     /// Create a fully durable database: pages in `<dir>/pages.db`, WAL as
@@ -235,12 +182,12 @@ impl Database {
             &dir.join("wal"),
             cfg.wal_segment_bytes,
         )?);
-        Self::create_over(disk, log, pool_frames, side, cfg)
+        Self::create_with_log(disk, log, pool_frames, side, cfg)
     }
 
-    /// Assemble a fresh database over an already-opened disk and log. The
-    /// crash checker uses this to pair a journaling page disk with a real
-    /// file-backed (segmented) WAL.
+    /// Assemble a fresh database (empty tree) over an already-opened disk
+    /// and log. The crash checker uses this to pair a journaling page disk
+    /// with a real segmented WAL.
     pub fn create_with_log(
         disk: Arc<dyn DiskManager>,
         log: Arc<LogManager>,
@@ -248,18 +195,7 @@ impl Database {
         side: SidePointerMode,
         cfg: EngineConfig,
     ) -> CoreResult<Arc<Database>> {
-        Self::create_over(disk, log, pool_frames, side, cfg)
-    }
-
-    fn create_over(
-        disk: Arc<dyn DiskManager>,
-        log: Arc<LogManager>,
-        pool_frames: usize,
-        side: SidePointerMode,
-        cfg: EngineConfig,
-    ) -> CoreResult<Arc<Database>> {
-        log.set_group_commit(cfg.group_commit);
-        let pool = cfg.build_pool(&disk, pool_frames);
+        let pool = Arc::new(BufferPool::new(Arc::clone(&disk), pool_frames));
         let fsm = Arc::new(FreeSpaceMap::new_all_free(disk.num_pages()));
         fsm.set_leaf_boundary(PageId(cfg.internal_region_pages));
         pool.set_wal(Arc::clone(&log) as Arc<dyn WalFlush>);
@@ -272,22 +208,19 @@ impl Database {
         Ok(Self::assemble(disk, pool, fsm, log, tree))
     }
 
-    /// Reopen a durable database from its directory (run
-    /// [`crate::recovery::recover`] on the result before use). Opens the
-    /// segmented WAL at `<dir>/wal/` when present, falling back to a
-    /// legacy single-file `<dir>/wal.log`.
+    /// Reopen a durable database from its directory: pages from
+    /// `<dir>/pages.db`, the segmented WAL from `<dir>/wal/`. Run
+    /// [`crate::recovery::recover`] on the result before use.
     pub fn open_durable(
         dir: &std::path::Path,
         pool_frames: usize,
         side: SidePointerMode,
     ) -> CoreResult<Arc<Database>> {
         let disk = Arc::new(obr_storage::FileDisk::open(&dir.join("pages.db"), 1)?);
-        let wal_dir = dir.join("wal");
-        let log = if wal_dir.is_dir() || !dir.join("wal.log").exists() {
-            Arc::new(LogManager::open_dir(&wal_dir, DEFAULT_WAL_SEGMENT_BYTES)?)
-        } else {
-            Arc::new(LogManager::open_file(&dir.join("wal.log"))?)
-        };
+        let log = Arc::new(LogManager::open_dir(
+            &dir.join("wal"),
+            DEFAULT_WAL_SEGMENT_BYTES,
+        )?);
         Self::reopen(disk as Arc<dyn DiskManager>, log, pool_frames, side)
     }
 
@@ -300,21 +233,8 @@ impl Database {
         pool_frames: usize,
         side: SidePointerMode,
     ) -> CoreResult<Arc<Database>> {
-        Self::reopen_with_config(disk, log, pool_frames, side, EngineConfig::default())
-    }
-
-    /// Like [`Self::reopen`], with explicit [`EngineConfig`] knobs (used by
-    /// recovery drivers that restart a tuned or baseline engine as-was).
-    pub fn reopen_with_config(
-        disk: Arc<dyn DiskManager>,
-        log: Arc<LogManager>,
-        pool_frames: usize,
-        side: SidePointerMode,
-        cfg: EngineConfig,
-    ) -> CoreResult<Arc<Database>> {
-        let pool = cfg.build_pool(&disk, pool_frames);
+        let pool = Arc::new(BufferPool::new(Arc::clone(&disk), pool_frames));
         let fsm = Arc::new(FreeSpaceMap::new_all_allocated(disk.num_pages()));
-        log.set_group_commit(cfg.group_commit);
         pool.set_wal(Arc::clone(&log) as Arc<dyn WalFlush>);
         let tree = Arc::new(BTree::open(
             Arc::clone(&pool),

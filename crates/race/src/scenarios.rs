@@ -42,7 +42,7 @@ pub fn all() -> Vec<Scenario> {
         },
         Scenario {
             name: "wal_watermark_file",
-            about: "durable-watermark publication vs. invariant readers (file-backed)",
+            about: "durable-watermark publication vs. invariant readers (segment files)",
             run: wal_watermark_file,
         },
         Scenario {
@@ -124,7 +124,7 @@ fn wal_group_commit() {
 
 static FILE_SCENARIO_RUNS: AtomicU64 = AtomicU64::new(0);
 
-/// Scenario 2: a writer appends and flushes a file-backed log while a
+/// Scenario 2: a writer appends and flushes a durable segmented log while a
 /// reader repeatedly checks the torn-watermark invariant: every LSN at or
 /// below the published durable watermark must already be on disk. The
 /// clean build holds this in every interleaving; the sabotage build
@@ -136,9 +136,9 @@ fn wal_watermark_file() {
     // std atomic so it is invisible to the model scheduler (it must not
     // add scheduling decisions or vary between schedules).
     let n = FILE_SCENARIO_RUNS.fetch_add(1, StdOrdering::Relaxed);
-    let path = std::env::temp_dir().join(format!("obr-race-wal-{}-{n}.log", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let log = Arc::new(LogManager::open_file(&path).expect("open file-backed log"));
+    let dir = std::env::temp_dir().join(format!("obr-race-wal-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let log = Arc::new(LogManager::open_dir(&dir, u64::MAX).expect("open segmented log"));
     let writer = {
         let log = Arc::clone(&log);
         thread::spawn(move || {
@@ -164,7 +164,7 @@ fn wal_watermark_file() {
     reader.join().unwrap();
     assert!(log.durable_is_written());
     drop(log);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 static TRUNC_SCENARIO_RUNS: AtomicU64 = AtomicU64::new(0);

@@ -606,15 +606,15 @@ fn txn_error(conn: &mut Conn, e: TxnError) -> Response {
 
 fn handle_ship(shared: &Shared, from_lsn: obr_storage::Lsn, max_segments: u32) -> Response {
     let log = shared.db.log();
-    if !log.is_segmented() {
+    let durable_lsn = log.durable_lsn();
+    let first_available_lsn = log.first_lsn();
+    let catalog = log.segment_catalog();
+    if catalog.is_empty() {
         return err(
             ErrorCode::NotDurable,
             "this database has no segmented WAL to ship",
         );
     }
-    let durable_lsn = log.durable_lsn();
-    let first_available_lsn = log.first_lsn();
-    let catalog = log.segment_catalog();
     let relevant: Vec<_> = catalog
         .into_iter()
         .filter(|s| s.end_lsn > from_lsn)

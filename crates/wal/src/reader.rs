@@ -1,5 +1,5 @@
 //! Byte-level WAL reader: one parser for the `[len: u32 LE][frame]` on-disk
-//! format, shared by [`crate::LogManager::open_file`] and the WAL linter so
+//! format, shared by [`crate::LogManager::open_dir`] and the WAL linter so
 //! every consumer truncates a torn tail identically.
 //!
 //! A *torn tail* is whatever trails the last intact record: a partial length

@@ -1,10 +1,9 @@
 //! Segment naming and directory layout for the segmented WAL.
 //!
 //! A segmented log is a directory of files `wal-<first-lsn>.seg`, each
-//! holding a contiguous run of `[len: u32 LE][frame]` records in the same
-//! byte format as the legacy single-file log (see [`crate::reader`]). The
-//! file name carries the LSN of its first record, zero-padded so
-//! lexicographic order equals LSN order. Exactly one segment — the one with
+//! holding a contiguous run of `[len: u32 LE][frame]` records (the byte
+//! format of [`crate::reader`]). The file name carries the LSN of its first
+//! record, zero-padded so lexicographic order equals LSN order. Exactly one segment — the one with
 //! the highest first-LSN — is *active* (still being appended to); every
 //! other segment is *sealed* and immutable.
 //!
@@ -73,13 +72,11 @@ pub fn list_segments(dir: &Path) -> std::io::Result<Vec<(Lsn, PathBuf)>> {
     Ok(out)
 }
 
-/// Best-effort fsync of a directory so freshly created/deleted segment
-/// files survive a crash. Ignored on platforms where directories cannot
-/// be opened for sync.
-pub fn sync_dir(dir: &Path) {
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
+/// Fsync a directory so freshly created or deleted segment files survive a
+/// crash. A failure to open or sync the directory is returned: the caller
+/// cannot know whether the entries it just changed are durable.
+pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// One entry of a [`crate::LogManager`] segment catalog: the shippable
@@ -142,5 +139,12 @@ mod tests {
     fn list_of_missing_dir_is_empty() {
         let dir = std::env::temp_dir().join("obr-seg-definitely-missing");
         assert!(list_segments(&dir).unwrap().is_empty());
+    }
+
+    #[test]
+    fn sync_dir_reports_a_missing_directory() {
+        let dir = std::env::temp_dir().join("obr-seg-definitely-missing");
+        assert!(sync_dir(&dir).is_err());
+        assert!(sync_dir(&std::env::temp_dir()).is_ok());
     }
 }

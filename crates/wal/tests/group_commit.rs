@@ -1,16 +1,20 @@
 //! Group commit under real concurrency: K committers racing `flush_to` on a
-//! file-backed log must each observe their own durability, while the
+//! durable segmented log must each observe their own durability, while the
 //! flusher-baton batching keeps the fsync count at or below K (and, when the
-//! scheduler cooperates, well below it).
+//! scheduler cooperates, well below it). The small seal threshold makes
+//! batches seal segments mid-storm.
 
 use std::sync::{Arc, Barrier};
 
 use obr_wal::{LogManager, LogRecord, TxnId};
 
+/// Seal threshold: a few records per segment.
+const SEG_BYTES: u64 = 256;
+
 fn temp_wal(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("obr-wal-gc-{}-{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("wal.log")
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 /// K concurrent committers: every waiter sees `durable_lsn >= its lsn`, and
@@ -19,8 +23,8 @@ fn temp_wal(tag: &str) -> std::path::PathBuf {
 fn concurrent_committers_batch_into_at_most_k_fsyncs() {
     const K: u64 = 8;
     const COMMITS_PER_THREAD: u64 = 10;
-    let path = temp_wal("batch");
-    let log = Arc::new(LogManager::open_file(&path).unwrap());
+    let dir = temp_wal("batch");
+    let log = Arc::new(LogManager::open_dir(&dir, SEG_BYTES).unwrap());
     let before = log.sync_stats();
     let barrier = Barrier::new(K as usize);
     std::thread::scope(|s| {
@@ -54,9 +58,14 @@ fn concurrent_committers_batch_into_at_most_k_fsyncs() {
         d.syncs,
         K * COMMITS_PER_THREAD
     );
-    // Nothing is lost: a crash now replays every record.
+    // Nothing is lost: a crash now replays every record, and a reopen of
+    // the sealed segments plus the active one reads all of them back.
     assert_eq!(log.simulate_crash(), 0);
-    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    assert!(log.segment_catalog().len() > 1, "the storm must seal");
+    drop(log);
+    let reopened = LogManager::open_dir(&dir, SEG_BYTES).unwrap();
+    assert_eq!(reopened.len() as u64, K * COMMITS_PER_THREAD);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One storm of K committers released at once on a single barrier tick:
@@ -64,8 +73,8 @@ fn concurrent_committers_batch_into_at_most_k_fsyncs() {
 #[test]
 fn single_wave_of_committers_never_exceeds_k_fsyncs() {
     const K: u64 = 8;
-    let path = temp_wal("wave");
-    let log = Arc::new(LogManager::open_file(&path).unwrap());
+    let dir = temp_wal("wave");
+    let log = Arc::new(LogManager::open_dir(&dir, SEG_BYTES).unwrap());
     let before = log.sync_stats();
     let barrier = Barrier::new(K as usize);
     std::thread::scope(|s| {
@@ -87,5 +96,5 @@ fn single_wave_of_committers_never_exceeds_k_fsyncs() {
         "got {} fsyncs for {K} commits",
         d.syncs
     );
-    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -30,9 +30,9 @@
 //! |-------------------|----------------------------------------------------|
 //! | `check <dir>`     | files under `<dir>` without opening the database:  |
 //! |                   | tree fsck over `pages.db` (`--tree`), WAL linter   |
-//! |                   | over the segment dir `wal/` (or a legacy `wal.log` |
-//! |                   | file) via `--wal`, lock-protocol model             |
-//! |                   | checker (`--locks`, needs no files); default `--all` |
+//! |                   | over the segment dir `wal/` (`--wal`), lock-       |
+//! |                   | protocol model checker (`--locks`, needs no        |
+//! |                   | files); default `--all`                            |
 //! | `check <dir> --live` | opens and recovers the database, then walks the |
 //! |                   | live sharded buffer pool (non-perturbing)          |
 //! | `check --crash`   | exhaustive crash-consistency checker over scripted |
@@ -42,8 +42,7 @@
 //! | `check --lint`    | concurrency source lint over the workspace tree at |
 //! |                   | `--root DIR` (default `.`): unjustified            |
 //! |                   | `Ordering::Relaxed`, raw `std::sync`/`parking_lot` |
-//! |                   | imports bypassing the `obr-sync` facade, lock      |
-//! |                   | calls inside `unsafe`, undocumented `unsafe`, and  |
+//! |                   | imports bypassing the `obr-sync` facade, and       |
 //! |                   | staleness of the lint whitelist itself             |
 //! | `check --protocol` | interprocedural protocol checker over the engine  |
 //! |                   | sources at `--root DIR` (default `.`): builds a    |
@@ -323,16 +322,9 @@ fn run_check(args: &[String]) -> ! {
         }
     }
     if wal {
-        // Prefer the segmented layout; fall back to a legacy single file.
-        let base = dir.as_ref().unwrap();
-        let wal_dir = base.join("wal");
-        let path = if wal_dir.is_dir() {
-            wal_dir
-        } else {
-            base.join("wal.log")
-        };
+        let path = dir.as_ref().unwrap().join("wal");
         println!("== wal lint: {}", path.display());
-        match obr::check::lint_wal_path(&path, &obr::check::WalLintOptions::default()) {
+        match obr::check::lint_wal_dir(&path, &obr::check::WalLintOptions::default()) {
             Ok(r) => report.merge(r),
             Err(e) => {
                 eprintln!("cannot read {}: {e}", path.display());

@@ -8,7 +8,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use obr::btree::SidePointerMode;
-use obr::core::{Database, EngineConfig, ReorgConfig, ReorgDaemon, ReorgTrigger};
+use obr::core::{Database, ReorgConfig, ReorgDaemon, ReorgTrigger};
 use obr::storage::{BufferPool, DiskManager, InMemoryDisk, PageId};
 use obr::txn::{Session, TxnError};
 
@@ -82,11 +82,10 @@ fn engine_stress_with_reorg_daemon_ends_fsck_clean() {
     const WRITERS: usize = 4;
     const READERS: usize = 4;
     let disk = Arc::new(InMemoryDisk::new(16_384));
-    let db = Database::create_with_config(
+    let db = Database::create(
         disk as Arc<dyn DiskManager>,
         512, // small pool: eviction runs throughout
         SidePointerMode::TwoWay,
-        EngineConfig::default(),
     )
     .unwrap();
     assert!(db.pool().shard_count() >= 8, "stress needs a sharded pool");

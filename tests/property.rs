@@ -250,21 +250,23 @@ proptest! {
         );
     }
 
-    /// The segmented WAL is observationally equivalent to the legacy
-    /// single-file log it replaced. The same append/force pattern is driven
-    /// into both layouts, then the equivalence is checked at every split
-    /// point the segmentation introduces:
+    /// Sealing is invisible: a log cut into small segments is
+    /// observationally equivalent to the single-file oracle — one segment
+    /// that never seals (`open_dir(.., u64::MAX)`). The same append/force
+    /// pattern is driven into both layouts, then the equivalence is checked
+    /// at every split point the segmentation introduces:
     ///
     /// 1. fully flushed — identical LSNs, records, checkpoints, and the
-    ///    segment files concatenate byte-for-byte to the single-file image;
+    ///    segment files concatenate byte-for-byte to the oracle's one file;
     /// 2. torn tail — a crash cut at an arbitrary byte of the active
-    ///    segment reopens to exactly the state the single file cut at the
-    ///    same global offset reopens to;
+    ///    segment reopens to exactly the state the oracle cut at the same
+    ///    global offset reopens to;
     /// 3. truncate + recycle — after `truncate_before` at an arbitrary LSN,
-    ///    the segmented log (whole-file recycling, rounded down to a
-    ///    segment boundary) retains a superset of what the single file
-    ///    (exact rewrite) retains, agreeing record-for-record past the
-    ///    truncation point, both live and across a reopen.
+    ///    the small-segment log (whole-file recycling, rounded down to a
+    ///    segment boundary) retains a suffix of the oracle (whose only
+    ///    boundary is its first LSN, so it keeps everything), agreeing
+    ///    record-for-record from its new first LSN on, both live and
+    ///    across a reopen.
     #[test]
     fn prop_segmented_log_matches_single_file_oracle(
         ops in prop::collection::vec(
@@ -283,9 +285,9 @@ proptest! {
         let root = std::env::temp_dir().join(format!("obr-prop-seg-{}-{n}", std::process::id()));
         std::fs::remove_dir_all(&root).ok();
         std::fs::create_dir_all(&root).unwrap();
-        let file_path = root.join("wal.log");
+        let oracle_path = root.join("oracle");
         let dir_path = root.join("wal");
-        let single = LogManager::open_file(&file_path).unwrap();
+        let oracle = LogManager::open_dir(&oracle_path, u64::MAX).unwrap();
         let seg = LogManager::open_dir(&dir_path, seg_bytes).unwrap();
 
         for (i, (key, value, force, kind)) in ops.iter().enumerate() {
@@ -300,47 +302,54 @@ proptest! {
                     prev_lsn: Lsn::ZERO,
                 }
             };
-            let a = single.append(&record);
+            let a = oracle.append(&record);
             let b = seg.append(&record);
             prop_assert_eq!(a, b, "append must assign the same LSN in both layouts");
             if *force {
-                single.flush_to(a).unwrap();
+                oracle.flush_to(a).unwrap();
                 seg.flush_to(b).unwrap();
             }
         }
-        single.flush_all().unwrap();
+        oracle.flush_all().unwrap();
         seg.flush_all().unwrap();
 
         // 1) Fully flushed: observationally identical.
-        prop_assert_eq!(single.durable_lsn(), seg.durable_lsn());
+        let oracle_files = segment::list_segments(&oracle_path).unwrap();
+        prop_assert_eq!(oracle_files.len(), 1, "the oracle never seals");
+        prop_assert_eq!(oracle.durable_lsn(), seg.durable_lsn());
         prop_assert_eq!(
-            single.records_from(Lsn(1)).unwrap(),
+            oracle.records_from(Lsn(1)).unwrap(),
             seg.records_from(Lsn(1)).unwrap()
         );
         prop_assert_eq!(
-            single.last_checkpoint().unwrap(),
+            oracle.last_checkpoint().unwrap(),
             seg.last_checkpoint().unwrap()
         );
-        let single_bytes = std::fs::read(&file_path).unwrap();
+        let oracle_bytes = std::fs::read(&oracle_files[0].1).unwrap();
         let segments = segment::list_segments(&dir_path).unwrap();
         let mut cat_bytes = Vec::new();
         for (_, p) in &segments {
             cat_bytes.extend(std::fs::read(p).unwrap());
         }
         prop_assert_eq!(
-            &single_bytes,
+            &oracle_bytes,
             &cat_bytes,
-            "segment files must concatenate to the single-file image"
+            "segment files must concatenate to the oracle's one file"
         );
 
         // 2) Torn tail: a byte cut inside the active segment is the same
-        // crash as cutting the single file at the same global offset.
+        // crash as cutting the oracle at the same global offset.
         let (_, active_path) = segments.last().unwrap();
         let active_bytes = std::fs::read(active_path).unwrap();
         let sealed_total = cat_bytes.len() - active_bytes.len();
         let cut = active_bytes.len() * cut_permille as usize / 1000;
-        let torn_file = root.join("torn.log");
-        std::fs::write(&torn_file, &single_bytes[..sealed_total + cut]).unwrap();
+        let torn_oracle = root.join("torn-oracle");
+        std::fs::create_dir_all(&torn_oracle).unwrap();
+        std::fs::write(
+            torn_oracle.join(oracle_files[0].1.file_name().unwrap()),
+            &oracle_bytes[..sealed_total + cut],
+        )
+        .unwrap();
         let torn_dir = root.join("torn-wal");
         std::fs::create_dir_all(&torn_dir).unwrap();
         for (_, p) in &segments {
@@ -352,7 +361,7 @@ proptest! {
         )
         .unwrap();
         {
-            let a = LogManager::open_file(&torn_file).unwrap();
+            let a = LogManager::open_dir(&torn_oracle, u64::MAX).unwrap();
             let b = LogManager::open_dir(&torn_dir, seg_bytes).unwrap();
             prop_assert_eq!(
                 a.durable_lsn(),
@@ -365,51 +374,39 @@ proptest! {
             );
         }
 
-        // 3) Truncate + recycle vs. truncate + compact.
-        let end = single.durable_lsn().0;
+        // 3) Truncate + recycle in both layouts.
+        let end = oracle.durable_lsn().0;
         let t = Lsn(1 + (end - 1) * trunc_permille / 1000);
-        single.truncate_before(t);
-        single.compact_file().unwrap();
+        oracle.truncate_before(t);
+        prop_assert_eq!(oracle.recycle_segments().unwrap(), 0);
         seg.truncate_before(t);
         seg.recycle_segments().unwrap();
-        prop_assert_eq!(single.first_lsn(), t, "single-file truncation is exact");
+        prop_assert_eq!(oracle.first_lsn(), Lsn(1), "one segment: nothing to drop");
+        let first = seg.first_lsn();
         prop_assert!(
-            seg.first_lsn() <= t,
+            first <= t,
             "segmented truncation rounds down to a boundary, never past the mark"
         );
         prop_assert_eq!(
-            single.records_from(t).unwrap(),
-            seg.records_from(t).unwrap(),
+            oracle.records_from(first).unwrap(),
+            seg.records_from(first).unwrap(),
             "both layouts must agree on every record past the truncation point"
         );
-        drop(single);
+        drop(oracle);
         drop(seg);
 
-        // Reopen both from disk. The single file was rewritten so its LSN
-        // labels restart at 1; the segmented dir keeps true labels. The
-        // retained *records* must line up: the single file's contents are
-        // exactly the tail of the segmented log's.
-        let single2 = LogManager::open_file(&file_path).unwrap();
+        // Reopen both from disk: the recycled log starts at its first
+        // surviving segment and is the oracle's tail, LSN for LSN.
+        let oracle2 = LogManager::open_dir(&oracle_path, u64::MAX).unwrap();
         let seg2 = LogManager::open_dir(&dir_path, seg_bytes).unwrap();
-        let vals_a: Vec<LogRecord> = single2
-            .records_from(Lsn(1))
-            .unwrap()
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
-        let vals_b: Vec<LogRecord> = seg2
-            .records_from(Lsn(1))
-            .unwrap()
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
-        prop_assert!(vals_b.len() >= vals_a.len());
+        prop_assert_eq!(seg2.first_lsn(), first);
+        prop_assert_eq!(oracle2.durable_lsn(), seg2.durable_lsn());
         prop_assert_eq!(
-            &vals_b[vals_b.len() - vals_a.len()..],
-            &vals_a[..],
-            "single-file tail must be a suffix of the recycled segmented log"
+            oracle2.records_from(first).unwrap(),
+            seg2.records_from(Lsn(1)).unwrap(),
+            "the recycled log must be a suffix of the oracle"
         );
-        drop(single2);
+        drop(oracle2);
         drop(seg2);
         std::fs::remove_dir_all(&root).ok();
     }
