@@ -314,3 +314,129 @@ fn truncated_restart_inside_a_unit_checks_clean() {
     let report = obr_check::check_database(&db);
     assert!(report.is_clean(), "{report}");
 }
+
+/// A transaction's BEGIN is logged at its first write, once: a first write
+/// that fails (the server upsert's strict insert hitting an existing key)
+/// and the writes after it share one BEGIN, and read-only transactions log
+/// none. The WAL lint sees no `txn-double-begin`.
+#[test]
+fn failed_first_write_then_writes_lint_clean() {
+    let scratch = Scratch::new("one-begin");
+    let db = Database::create_durable(scratch.path(), 2048, 512, SidePointerMode::TwoWay).unwrap();
+    let session = Session::new(Arc::clone(&db));
+    for k in 0..50u64 {
+        session.insert(k, &[0xab; 24]).unwrap();
+    }
+    for k in 0..50u64 {
+        let mut t = session.begin();
+        assert!(t.insert(k, &[0xcd; 24]).is_err(), "key {k} exists");
+        t.update(k, &[0xcd; 24]).unwrap();
+        t.insert(1000 + k, &[0xef; 24]).unwrap();
+        t.commit().unwrap();
+        assert!(session.read(k).unwrap().is_some());
+    }
+    db.log().flush_all().unwrap();
+    let report = lint_wal_dir(&scratch.path().join("wal"), &WalLintOptions::default()).unwrap();
+    assert!(report.is_clean(), "{report}");
+    let report = obr_check::check_database(&db);
+    assert!(report.is_clean(), "{report}");
+}
+
+/// Drives a read fault into the first reorganization unit (the tracer
+/// writes events synchronously): at its `unit_begin` the pool is emptied,
+/// so the unit reads every page it touches from the disk, and at its first
+/// `arm_at` event (a MOVE, applied) the next read is armed to fail.
+struct FaultInFirstUnit {
+    disk: Arc<obr_storage::JournalDisk>,
+    pool: Arc<obr_storage::BufferPool>,
+    arm_at: &'static str,
+    begun: bool,
+    armed: bool,
+}
+
+impl std::io::Write for FaultInFirstUnit {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let line = String::from_utf8_lossy(buf);
+        if !self.begun && line.contains("\"event\":\"unit_begin\"") {
+            // The unit holds its locks but no page latch here.
+            self.begun = true;
+            self.pool.evict_all().expect("evict");
+        } else if self.begun && !self.armed && line.contains(self.arm_at) {
+            self.armed = true;
+            self.disk.fail_after_reads(0);
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A sparse tree over a journaling disk with a pool of 64 frames.
+fn faultable_db() -> (Arc<obr_storage::JournalDisk>, Arc<Database>) {
+    use obr_storage::{DiskManager, JournalDisk};
+
+    let disk = Arc::new(JournalDisk::new(Arc::new(InMemoryDisk::new(4096))));
+    let db = Database::create(
+        Arc::clone(&disk) as Arc<dyn DiskManager>,
+        64,
+        SidePointerMode::TwoWay,
+    )
+    .unwrap();
+    let records: Vec<(u64, Vec<u8>)> = (0..3000u64).map(|k| (k, vec![0xab; 24])).collect();
+    db.tree().bulk_load(&records, 0.2, 0.5).unwrap();
+    (disk, db)
+}
+
+/// Run `pass` with a read fault injected after the first MOVE of its first
+/// unit (`arm_at` names that MOVE's trace event): the unit is undone and
+/// ENDed, not left open, so the database checks clean (no
+/// `unit-open-at-eof` in the WAL lint) and keeps every record; a second
+/// run of the pass then completes.
+fn fault_inside_a_unit_closes_it(
+    disk: &Arc<obr_storage::JournalDisk>,
+    db: &Arc<Database>,
+    arm_at: &'static str,
+    pass: fn(&Reorganizer) -> obr_core::CoreResult<()>,
+) {
+    let expected = db.tree().collect_all().unwrap();
+    db.tracer().attach_writer(Box::new(FaultInFirstUnit {
+        disk: Arc::clone(disk),
+        pool: Arc::clone(db.pool()),
+        arm_at,
+        begun: false,
+        armed: false,
+    }));
+    let reorg = Reorganizer::new(Arc::clone(db), ReorgConfig::default());
+    let err = pass(&reorg).unwrap_err();
+    db.tracer().detach_writer();
+    assert!(err.to_string().contains("injected read fault"), "{err}");
+    let st = reorg.stats();
+    assert_eq!(st.units_undone, 1, "the failed unit was undone: {st:?}");
+    assert!(st.records_moved > 0, "the fault came after a MOVE: {st:?}");
+    let report = obr_check::check_database(db);
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(db.tree().collect_all().unwrap(), expected);
+    pass(&reorg).unwrap();
+    assert_eq!(db.tree().collect_all().unwrap(), expected);
+    let report = obr_check::check_database(db);
+    assert!(report.is_clean(), "{report}");
+}
+
+#[test]
+fn read_error_inside_a_compaction_unit_closes_the_unit() {
+    let (disk, db) = faultable_db();
+    fault_inside_a_unit_closes_it(&disk, &db, "\"event\":\"unit_move\"", |r| r.pass1_compact());
+}
+
+#[test]
+fn read_error_inside_a_pass2_move_closes_the_unit() {
+    let (disk, db) = faultable_db();
+    Reorganizer::new(Arc::clone(&db), ReorgConfig::default())
+        .pass1_compact()
+        .unwrap();
+    fault_inside_a_unit_closes_it(&disk, &db, "\"event\":\"pass2_move\"", |r| {
+        r.pass2_swap_move()
+    });
+}

@@ -104,13 +104,10 @@ impl ReorgDaemon {
                             // simply tries again).
                             consecutive_errors += 1;
                             db.core_metrics().daemon_errors.inc();
-                            db.tracer().emit(
+                            db.tracer().emit_failure(
                                 obr_obs::TraceKind::DaemonError,
-                                0,
-                                0,
-                                0,
                                 consecutive_errors,
-                                0,
+                                &e.to_string(),
                             );
                             eprintln!(
                                 "obr-reorg-daemon: cycle failed (retrying next interval): {e}"

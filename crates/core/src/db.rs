@@ -313,12 +313,23 @@ impl Database {
         &self.side_file
     }
 
-    /// Allocate a fresh transaction id and register it active.
-    pub fn begin_txn(&self) -> TxnId {
-        let txn = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
+    /// Allocate a fresh transaction id. Nothing is logged and nothing is
+    /// registered: a transaction that never writes never appears in the
+    /// log, in a checkpoint's active list or in the low-water mark.
+    pub fn new_txn_id(&self) -> TxnId {
+        // relaxed: a unique-id counter; it publishes nothing.
+        TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// Log `TxnBegin` for `txn` and register it active — done once, at
+    /// the transaction's first write. The append happens under the
+    /// active-table lock, so [`Self::log_low_water_mark`] either sees the
+    /// transaction or runs before its BEGIN has an LSN.
+    pub fn log_txn_begin(&self, txn: TxnId) -> obr_storage::Lsn {
+        let mut active = self.active_txns.lock();
         let lsn = self.log.append(&LogRecord::TxnBegin { txn });
-        self.active_txns.lock().insert(txn, (lsn, lsn));
-        txn
+        active.insert(txn, (lsn, lsn));
+        lsn
     }
 
     /// Record a transaction's newest LSN (its undo chain head).
@@ -455,7 +466,8 @@ mod tests {
     #[test]
     fn create_yields_working_tree() {
         let d = db();
-        let txn = d.begin_txn();
+        let txn = d.new_txn_id();
+        d.log_txn_begin(txn);
         d.tree().insert(txn, Lsn::ZERO, 1, b"x").unwrap();
         assert_eq!(d.tree().search(1).unwrap().unwrap(), b"x");
     }
@@ -463,9 +475,15 @@ mod tests {
     #[test]
     fn txn_bookkeeping() {
         let d = db();
-        let t1 = d.begin_txn();
-        let t2 = d.begin_txn();
+        let end = d.log().next_lsn();
+        let t1 = d.new_txn_id();
+        let t2 = d.new_txn_id();
         assert_ne!(t1, t2);
+        // An id alone is not active: no record, no low-water-mark hold.
+        assert_eq!(d.log().next_lsn(), end);
+        assert_eq!(d.txn_lsn(t1), Lsn::ZERO);
+        let begin = d.log_txn_begin(t1);
+        assert_eq!(d.txn_lsn(t1), begin);
         d.note_txn_lsn(t1, Lsn(9));
         assert_eq!(d.txn_lsn(t1), Lsn(9));
         d.end_txn(t1);
@@ -498,7 +516,8 @@ mod tests {
     #[test]
     fn crash_loses_unflushed_work() {
         let d = db();
-        let txn = d.begin_txn();
+        let txn = d.new_txn_id();
+        d.log_txn_begin(txn);
         d.tree().insert(txn, Lsn::ZERO, 7, b"v").unwrap();
         // Nothing flushed: the page update and log tail are volatile.
         let lost = d.crash(|_| false).unwrap();

@@ -849,9 +849,14 @@ impl Reorganizer {
                     prev_lsn: prev,
                 });
                 db.reorg_table().advance(lsn);
+                // Journaled before it is applied: once the MOVE is in the
+                // log, an abandoned unit must compensate it (a no-op for
+                // records that never moved).
+                journal.push(MoveJournal { org, dest, records });
+                let records = &journal[journal.len() - 1].records;
                 {
                     let mut dleaf = LeafView::new(&mut dpage);
-                    dleaf.extend(&records)?;
+                    dleaf.extend(records)?;
                 }
                 {
                     let mut oleaf = LeafView::new(&mut opage);
@@ -873,7 +878,6 @@ impl Reorganizer {
                     u64::from(dest.0),
                     records.len() as u64,
                 );
-                journal.push(MoveJournal { org, dest, records });
                 if first_move {
                     first_move = false;
                     self.check_fail(FailSite::AfterFirstMove)?;
@@ -883,34 +887,31 @@ impl Reorganizer {
             self.fix_chain_after_compact(unit, group, dest, left_n, right_n)?;
             Ok(())
         })();
+        // The chain an abandoned unit restores: the group between its
+        // neighbours, as it was at BEGIN.
+        let chain: Vec<PageId> = std::iter::once(left_n)
+            .chain(group.iter().map(|&(_, l)| l))
+            .chain(std::iter::once(right_n))
+            .collect();
         if let Err(e) = move_result {
-            if matches!(e, CoreError::InjectedCrash(_)) {
-                return Err(e); // the "crash" leaves everything in place
-            }
-            self.undo_moves(unit, &journal)?;
-            self.close_undone_unit(unit);
-            return Err(e);
+            return Err(self.abandon_unit(unit, e, &journal, &chain));
         }
         self.check_fail(FailSite::BeforeModify)?;
         // --- Upgrade the base lock to X for the short MODIFY (§4.1.1). ---
         if let Err(e) = locks.lock(owner, ResourceId::Page(base.0), LockMode::X) {
-            // §5.2: deadlock after records moved — undo the moves and
-            // restore the side-pointer chain through the group, all before
-            // END so every SIDEPTR stays inside the unit's chain.
-            self.undo_moves(unit, &journal)?;
-            let mut prev = left_n;
-            for &(_, leaf) in group {
-                self.stitch(unit, prev, leaf)?;
-                prev = leaf;
-            }
-            self.stitch(unit, prev, right_n)?;
-            self.close_undone_unit(unit);
-            return Err(e.into());
+            // §5.2: deadlock after records moved.
+            return Err(self.abandon_unit(unit, e.into(), &journal, &chain));
         }
         {
-            let _g = tree.smo_guard();
+            let smo = tree.smo_guard();
             let pool = db.pool();
-            let bg = pool.fetch(base)?;
+            let bg = match pool.fetch(base) {
+                Ok(g) => g,
+                Err(e) => {
+                    drop(smo); // the undo takes the SMO guard itself
+                    return Err(self.abandon_unit(unit, e.into(), &journal, &chain));
+                }
+            };
             let mut bpage = bg.write();
             // Derive the MODIFY from the live base contents: remove every
             // entry still pointing at an emptied source, register dest under
@@ -966,14 +967,20 @@ impl Reorganizer {
         }
         self.check_fail(FailSite::BeforeEnd)?;
         // --- Deallocate emptied sources (careful writing: dest first). ---
+        // Past MODIFY the unit is logically done: if dest cannot be
+        // flushed, END it anyway and keep the emptied sources allocated
+        // (unreachable until restart rebuilds the free-space map), then
+        // report the error.
         let pool = db.pool();
-        pool.flush_page(dest)?;
+        let flushed = pool.flush_page(dest);
         let mut freed = 0;
-        for &(_, org) in group {
-            if org != dest {
-                pool.discard(org);
-                db.fsm().free(org);
-                freed += 1;
+        if flushed.is_ok() {
+            for &(_, org) in group {
+                if org != dest {
+                    pool.discard(org);
+                    db.fsm().free(org);
+                    freed += 1;
+                }
             }
         }
         // --- END. ---
@@ -1008,6 +1015,7 @@ impl Reorganizer {
             largest_key,
             freed,
         );
+        flushed?;
         Ok(largest_key)
     }
 
@@ -1185,6 +1193,36 @@ impl Reorganizer {
             dpage.set_lsn(lsn);
         }
         Ok(())
+    }
+
+    /// §5.2 for a unit whose body failed after BEGIN: undo its moves,
+    /// restore the side-pointer `chain` (consecutive pairs stitched, all
+    /// inside the unit), and END it. Returns `err` for the caller to
+    /// surface.
+    ///
+    /// An injected crash ([`CoreError::InjectedCrash`]) leaves the unit
+    /// open, as a real crash would, for Forward Recovery to complete. So
+    /// does an undo that fails itself: restart recovery then finishes the
+    /// unit from the log.
+    fn abandon_unit(
+        &self,
+        unit: UnitId,
+        err: CoreError,
+        journal: &[MoveJournal],
+        chain: &[PageId],
+    ) -> CoreError {
+        if matches!(err, CoreError::InjectedCrash(_)) {
+            return err;
+        }
+        let undone = self.undo_moves(unit, journal).and_then(|()| {
+            chain
+                .windows(2)
+                .try_for_each(|w| self.stitch(unit, w[0], w[1]))
+        });
+        if undone.is_ok() {
+            self.close_undone_unit(unit);
+        }
+        err
     }
 
     /// END an undone unit: it completed with net-zero effect; largest_key 0
@@ -1381,9 +1419,9 @@ impl Reorganizer {
             u64::from(target.0),
         );
         self.check_fail(FailSite::AfterUnitBegin)?;
-        let largest_key;
+        let mut largest_key = 0;
         let mut journal: Vec<MoveJournal> = Vec::new();
-        {
+        let move_result: CoreResult<()> = (|| {
             let _g = tree.smo_guard();
             let pool = db.pool();
             let sg = pool.fetch(src)?;
@@ -1407,10 +1445,19 @@ impl Reorganizer {
                 prev_lsn: prev,
             });
             db.reorg_table().advance(lsn);
+            // Journaled before it is applied: once the MOVE is in the log,
+            // an abandoned unit must compensate it (a no-op for records
+            // that never moved).
+            journal.push(MoveJournal {
+                org: src,
+                dest: target,
+                records,
+            });
+            let records = &journal[0].records;
             let low_mark = spage.low_mark();
             {
                 let mut tleaf = LeafView::init(&mut tpage);
-                tleaf.extend(&records)?;
+                tleaf.extend(records)?;
                 tleaf.page_mut().set_low_mark(low_mark);
             }
             {
@@ -1432,39 +1479,41 @@ impl Reorganizer {
                 u64::from(target.0),
                 records.len() as u64,
             );
-            journal.push(MoveJournal {
-                org: src,
-                dest: target,
-                records,
-            });
             drop(spage);
             drop(tpage);
-            self.fix_chain_after_compact(unit, &[], target, left_n, right_n)?;
+            self.fix_chain_after_compact(unit, &[], target, left_n, right_n)
+        })();
+        let chain = [left_n, src, right_n];
+        if let Err(e) = move_result {
+            return Err(self.abandon_unit(unit, e, &journal, &chain));
         }
         // MODIFY: repoint the parent entry from src to target.
         if let Err(e) = locks.lock(owner, ResourceId::Page(base.0), LockMode::X) {
-            // §5.2: deadlock after the records moved — undo the moves and
-            // repair the chain before END so the SIDEPTRs stay in-unit.
-            self.undo_moves(unit, &journal)?;
-            self.fix_chain_after_compact(unit, &[], src, left_n, right_n)?;
-            self.close_undone_unit(unit);
-            return Err(e.into());
+            // §5.2: deadlock after the records moved.
+            return Err(self.abandon_unit(unit, e.into(), &journal, &chain));
         }
         {
-            let _g = tree.smo_guard();
+            let smo = tree.smo_guard();
             let pool = db.pool();
-            let bg = pool.fetch(base)?;
-            let mut bpage = bg.write();
-            let entry_key = {
-                let node = NodeRef::new(&bpage);
-                node.entries()
+            let found = pool.fetch(base).map_err(CoreError::from).and_then(|bg| {
+                let entry_key = NodeRef::new(&bg.read())
+                    .entries()
                     .iter()
                     .find(|(_, c)| *c == src)
                     .map(|(k, _)| *k)
                     .ok_or_else(|| {
                         CoreError::Recovery(format!("leaf {src} not under base {base}"))
-                    })?
+                    })?;
+                Ok((bg, entry_key))
+            });
+            let (bg, entry_key) = match found {
+                Ok(f) => f,
+                Err(e) => {
+                    drop(smo); // the undo takes the SMO guard itself
+                    return Err(self.abandon_unit(unit, e, &journal, &chain));
+                }
             };
+            let mut bpage = bg.write();
             let prev = db.reorg_table().recent_lsn();
             let lsn = db.log().append(&LogRecord::ReorgModify {
                 unit,
@@ -1480,33 +1529,39 @@ impl Reorganizer {
             bpage.set_lsn(lsn);
         }
         self.check_fail(FailSite::BeforeEnd)?;
+        // As in pass 1: an unflushable target still ENDs the unit, with
+        // the emptied source kept allocated.
         let pool = db.pool();
-        pool.flush_page(target)?;
-        pool.discard(src);
-        db.fsm().free(src);
+        let flushed = pool.flush_page(target);
+        if flushed.is_ok() {
+            pool.discard(src);
+            db.fsm().free(src);
+        }
         #[cfg(debug_assertions)]
         self.debug_assert_unit_outcome(&[base], &[target]);
         db.log().append(&LogRecord::ReorgEnd { unit, largest_key });
         db.reorg_table().finish_unit(largest_key);
         locks.release_all(owner);
+        let freed = u64::from(flushed.is_ok());
         {
             let mut st = self.stats.lock();
             st.units += 1;
             st.moves += 1;
-            st.pages_freed += 1;
+            st.pages_freed += freed;
         }
         let cm = db.core_metrics();
         cm.units_completed.inc();
         cm.pass2_moves.inc();
-        cm.pages_freed.inc();
+        cm.pages_freed.add(freed);
         db.tracer().emit(
             TraceKind::UnitEnd,
             unit.0,
             2,
             u64::from(base.0),
             largest_key,
-            1,
+            freed,
         );
+        flushed?;
         Ok(())
     }
 

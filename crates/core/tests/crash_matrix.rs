@@ -322,6 +322,14 @@ fn two_region_layout_packs_leaves_perfectly() {
     assert_eq!(reorg.stats().skipped_placements, 0);
 }
 
+/// Start a transaction that is about to write: allocate its id and log its
+/// BEGIN, as `Txn`'s first write does.
+fn begin_writer(db: &Arc<Database>) -> obr_wal::TxnId {
+    let txn = db.new_txn_id();
+    db.log_txn_begin(txn);
+    txn
+}
+
 #[test]
 fn log_truncation_respects_the_low_water_mark() {
     use obr_txn_free::run_committed_ops;
@@ -329,7 +337,7 @@ fn log_truncation_respects_the_low_water_mark() {
         use super::*;
         pub fn run_committed_ops(db: &Arc<Database>, n: u64) {
             for k in 0..n {
-                let txn = db.begin_txn();
+                let txn = begin_writer(db);
                 let lsn = db
                     .tree()
                     .insert(txn, obr_storage::Lsn::ZERO, 100_000 + k, &val(k))
@@ -369,7 +377,7 @@ fn log_truncation_respects_the_low_water_mark() {
 #[test]
 fn active_transaction_pins_the_low_water_mark() {
     let sc = setup(SidePointerMode::TwoWay);
-    let txn = sc.db.begin_txn();
+    let txn = begin_writer(&sc.db);
     let first_lsn = sc
         .db
         .tree()
@@ -379,7 +387,7 @@ fn active_transaction_pins_the_low_water_mark() {
     // Lots of unrelated committed work + a checkpoint cannot advance the
     // mark past the open transaction's BEGIN.
     for k in 0..50u64 {
-        let t2 = sc.db.begin_txn();
+        let t2 = begin_writer(&sc.db);
         let l = sc
             .db
             .tree()

@@ -12,6 +12,8 @@
 //! `a`, `b`); fields an event does not use are zero.  The per-kind meaning
 //! of `a`/`b` is documented on [`TraceKind`] and in DESIGN.md's
 //! "Observability" chapter, which also walks a full three-pass example.
+//! Failure events ([`TraceKind::DaemonError`]) add one text field,
+//! `detail`, with the error's message.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -76,7 +78,8 @@ pub enum TraceKind {
     /// 1 = compacted, 2 = swapped, 4 = shrunk.
     DaemonRun,
     /// A daemon cycle failed and will be retried next interval (the
-    /// thread survives). `a` = consecutive failures so far.
+    /// thread survives). `a` = consecutive failures so far; `detail` =
+    /// the error's message.
     DaemonError,
     /// The network frontend admitted a client session. `a` = live
     /// sessions after the admit.
@@ -130,8 +133,8 @@ impl fmt::Display for TraceKind {
 
 /// One trace event. The schema is fixed so JSONL consumers never need
 /// per-kind parsing: `{"seq":N,"us":N,"event":"...","unit":N,"pass":N,
-/// "page":N,"a":N,"b":N}`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// "page":N,"a":N,"b":N}`, plus `"detail":"..."` on failure events.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Monotonic sequence number, unique per tracer.
     pub seq: u64,
@@ -150,6 +153,8 @@ pub struct TraceEvent {
     pub a: u64,
     /// Kind-specific operand; see [`TraceKind`].
     pub b: u64,
+    /// Error text of a failure event; `None` on every other event.
+    pub detail: Option<String>,
 }
 
 impl TraceEvent {
@@ -171,7 +176,7 @@ impl TraceEvent {
     }
 
     fn json_tail(&self) -> String {
-        format!(
+        let mut out = format!(
             "\"event\":\"{}\",\"unit\":{},\"pass\":{},\"page\":{},\"a\":{},\"b\":{}",
             self.kind.as_str(),
             self.unit,
@@ -179,7 +184,20 @@ impl TraceEvent {
             self.page,
             self.a,
             self.b
-        )
+        );
+        if let Some(d) = &self.detail {
+            out.push_str(",\"detail\":\"");
+            for c in d.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+        out
     }
 }
 
@@ -271,27 +289,52 @@ impl Tracer {
     /// Record one event. Fields an event kind does not use are passed as
     /// zero; see [`TraceKind`] for the per-kind meaning of `a` and `b`.
     pub fn emit(&self, kind: TraceKind, unit: u64, pass: u8, page: u64, a: u64, b: u64) {
-        if cfg!(feature = "noop") {
-            return;
-        }
-        let ev = TraceEvent {
-            seq: self.seq.fetch_add(1, Relaxed),
-            us: self.epoch.elapsed().as_micros() as u64,
+        self.record(TraceEvent {
+            seq: 0,
+            us: 0,
             kind,
             unit,
             pass,
             page,
             a,
             b,
-        };
+            detail: None,
+        });
+    }
+
+    /// Record a failure event that is not scoped to a unit, pass or page:
+    /// `a` as [`TraceKind`] documents it, and the error's message as
+    /// `detail`.
+    pub fn emit_failure(&self, kind: TraceKind, a: u64, detail: &str) {
+        self.record(TraceEvent {
+            seq: 0,
+            us: 0,
+            kind,
+            unit: 0,
+            pass: 0,
+            page: 0,
+            a,
+            b: 0,
+            detail: Some(detail.to_owned()),
+        });
+    }
+
+    /// Stamp `ev` with its sequence number and time, then keep it in the
+    /// ring and stream it to the attached writer.
+    fn record(&self, mut ev: TraceEvent) {
+        if cfg!(feature = "noop") {
+            return;
+        }
+        ev.seq = self.seq.fetch_add(1, Relaxed);
+        ev.us = self.epoch.elapsed().as_micros() as u64;
         let mut inner = self.lock();
         if inner.ring.len() == inner.cap {
             inner.ring.pop_front();
         }
-        inner.ring.push_back(ev);
         if let Some(w) = inner.writer.as_mut() {
             let _ = writeln!(w, "{}", ev.to_json());
         }
+        inner.ring.push_back(ev);
     }
 
     /// Total events emitted so far (including any that fell off the ring).
@@ -301,7 +344,7 @@ impl Tracer {
 
     /// Copy of the ring contents, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.lock().ring.iter().copied().collect()
+        self.lock().ring.iter().cloned().collect()
     }
 
     /// Drain the ring, returning its contents oldest first.
@@ -367,10 +410,23 @@ mod tests {
     fn stable_json_omits_seq_and_us() {
         let t = Tracer::new();
         t.emit(TraceKind::TreeSwitch, 0, 3, 9, 2, 0);
-        let ev = t.events()[0];
+        let ev = &t.events()[0];
         assert_eq!(
             ev.to_json_stable(),
             "{\"event\":\"tree_switch\",\"unit\":0,\"pass\":3,\"page\":9,\"a\":2,\"b\":0}"
+        );
+    }
+
+    #[test]
+    fn failure_events_carry_escaped_detail() {
+        let t = Tracer::new();
+        t.emit_failure(TraceKind::DaemonError, 2, "io: \"pages.db\"\tgone\\");
+        let ev = &t.events()[0];
+        assert_eq!(ev.detail.as_deref(), Some("io: \"pages.db\"\tgone\\"));
+        assert_eq!(
+            ev.to_json_stable(),
+            "{\"event\":\"daemon_error\",\"unit\":0,\"pass\":0,\"page\":0,\"a\":2,\"b\":0,\
+             \"detail\":\"io: \\\"pages.db\\\"\\u0009gone\\\\\"}"
         );
     }
 }

@@ -5,7 +5,7 @@
 //! `RUSTFLAGS="--cfg obr_model"` — where every `obr-sync` facade
 //! primitive routes through the controllable scheduler in
 //! `obr_sync::model`. It then replays seeded random interleavings and
-//! bounded exhaustive permutations (with DPOR-lite pruning) over seven
+//! bounded exhaustive permutations (with DPOR-lite pruning) over eight
 //! scripted scenarios covering the engine's concurrent hot paths, checks
 //! scenario assertions under every schedule, and accumulates the
 //! observed lock-acquisition-order graph for comparison against
@@ -17,7 +17,7 @@
 //!
 //! Entry points (plain code spans, not links: the modules only exist
 //! under the model cfg and would break `cargo doc` otherwise):
-//! - `scenarios::all` — the seven scripted scenarios (model builds).
+//! - `scenarios::all` — the eight scripted scenarios (model builds).
 //! - `explore::run_random` / `explore::run_exhaustive` — the two
 //!   explorers (model builds).
 //! - `obr-race` binary — CLI over both, plus the lock-order diff.

@@ -1,4 +1,4 @@
-//! The seven scripted concurrency scenarios the explorer replays.
+//! The eight scripted concurrency scenarios the explorer replays.
 //!
 //! Each scenario is a plain `fn()` executed as thread 0 of a controlled
 //! run (see `obr_sync::model::run_controlled`); it spawns its worker
@@ -32,7 +32,7 @@ pub struct Scenario {
     pub run: fn(),
 }
 
-/// All seven scenarios, in canonical order.
+/// All eight scenarios, in canonical order.
 pub fn all() -> Vec<Scenario> {
     vec![
         Scenario {
@@ -69,6 +69,11 @@ pub fn all() -> Vec<Scenario> {
             name: "lock_retry_vs_undo",
             about: "reorganizer deadlock-retry against a transaction's undo path",
             run: lock_retry_vs_undo,
+        },
+        Scenario {
+            name: "commit_release_vs_reader",
+            about: "a committer's force-then-release racing a reader that never forces",
+            run: commit_release_vs_reader,
         },
     ]
 }
@@ -523,4 +528,69 @@ fn lock_retry_vs_undo() {
         m.validate_invariants().is_empty(),
         "lock table invariants violated after retry storm"
     );
+}
+
+/// Scenario 8: a writer commits as `Txn::commit` does — X lock on the key,
+/// BEGIN and insert appended, the commit record appended and forced, and
+/// only then its locks released — while a reader takes an S lock on the
+/// same key, reads, and releases without forcing anything (a read-only
+/// transaction). Invariant: a reader that sees the writer's value finds the
+/// writer's commit LSN at or below the durable LSN, so the value it returns
+/// survives any crash after it.
+fn commit_release_vs_reader() {
+    use obr_sync::atomic::{AtomicU64 as ModelU64, Ordering};
+
+    let m = Arc::new(LockManager::new());
+    let log = Arc::new(LogManager::new());
+    // The key's value as a reader sees it (0 = absent), and the writer's
+    // commit LSN once it has one.
+    let value = Arc::new(ModelU64::new(0));
+    let commit_lsn = Arc::new(ModelU64::new(0));
+    let writer = {
+        let (m, log, value, commit_lsn) = (
+            Arc::clone(&m),
+            Arc::clone(&log),
+            Arc::clone(&value),
+            Arc::clone(&commit_lsn),
+        );
+        thread::spawn(move || {
+            let owner = OwnerId(1);
+            m.lock(owner, ResourceId::Key(7), LockMode::X)
+                .expect("writer X lock");
+            log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
+            log.append(&rec(1, 7));
+            value.store(42, Ordering::Release);
+            let lsn = log.append(&LogRecord::TxnCommit { txn: TxnId(1) });
+            commit_lsn.store(lsn.0, Ordering::Release);
+            log.flush_to(lsn).expect("commit force");
+            m.release_all(owner);
+        })
+    };
+    let reader = {
+        let (m, log, value, commit_lsn) = (
+            Arc::clone(&m),
+            Arc::clone(&log),
+            Arc::clone(&value),
+            Arc::clone(&commit_lsn),
+        );
+        thread::spawn(move || {
+            let owner = OwnerId(2);
+            m.lock(owner, ResourceId::Key(7), LockMode::S)
+                .expect("reader S lock");
+            let seen = value.load(Ordering::Acquire);
+            if seen == 42 {
+                let lsn = commit_lsn.load(Ordering::Acquire);
+                let durable = log.durable_lsn();
+                assert!(
+                    lsn != 0 && durable.0 >= lsn,
+                    "reader saw the writer's value with its commit LSN {lsn} above durable {durable:?}"
+                );
+            }
+            m.release_all(owner);
+        })
+    };
+    writer.join().unwrap();
+    reader.join().unwrap();
+    assert!(log.durable_lsn().0 >= commit_lsn.load(Ordering::Acquire));
+    assert!(m.validate_invariants().is_empty());
 }

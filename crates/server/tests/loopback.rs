@@ -472,3 +472,59 @@ fn stats_checkpoint_and_admin_opcodes_work() {
     r.server.take().unwrap().shutdown().unwrap();
     assert!(obr_check::check_database(&r.db).is_clean());
 }
+
+#[test]
+fn read_only_requests_append_nothing_and_never_force() {
+    let mut r = rig_with(
+        "readonly",
+        EngineConfig {
+            wal_segment_bytes: 1024,
+            ..EngineConfig::default()
+        },
+    );
+    let mut c = Client::connect(&r.addr).unwrap();
+    for k in 0..100u64 {
+        c.put(k, &k.to_le_bytes()).unwrap();
+    }
+    let marks = |db: &Database| {
+        let st = db.log().sync_stats();
+        (db.log().next_lsn(), st.syncs, st.flush_calls)
+    };
+    let before = marks(&r.db);
+    assert_eq!(
+        c.get(5).unwrap().as_deref(),
+        Some(5u64.to_le_bytes().as_slice())
+    );
+    assert_eq!(c.scan(10, 19, 0).unwrap().0.len(), 10);
+    c.begin().unwrap();
+    assert!(c.get(6).unwrap().is_some());
+    c.commit().unwrap();
+    c.begin().unwrap();
+    assert!(c.get(7).unwrap().is_some());
+    c.abort().unwrap();
+    assert_eq!(
+        marks(&r.db),
+        before,
+        "(end LSN, fsyncs, flush calls) moved for GET, SCAN and a read-only transaction"
+    );
+
+    // An idle read-only transaction does not hold back log truncation.
+    c.begin().unwrap();
+    assert!(c.get(8).unwrap().is_some());
+    let began_at = r.db.log().next_lsn();
+    let mut w = Client::connect(&r.addr).unwrap();
+    for k in 1000..1200u64 {
+        w.put(k, &k.to_le_bytes()).unwrap();
+    }
+    r.db.truncate_log().unwrap();
+    assert!(
+        r.db.log().first_lsn() > began_at,
+        "an idle wire BEGIN pinned the log: first LSN {} vs {began_at}",
+        r.db.log().first_lsn()
+    );
+    c.commit().unwrap();
+    c.bye().unwrap();
+    w.bye().unwrap();
+    r.server.take().unwrap().shutdown().unwrap();
+    assert!(obr_check::check_database(&r.db).is_clean());
+}

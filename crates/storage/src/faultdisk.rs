@@ -15,7 +15,8 @@
 //! the write journal respects both the WAL rule (a page's LSN is durable
 //! before the page is written) and the §5.1 write-order dependencies.
 //!
-//! The wrapper can also inject write faults ([`JournalDisk::fail_after_writes`])
+//! The wrapper can also inject write and read faults
+//! ([`JournalDisk::fail_after_writes`], [`JournalDisk::fail_after_reads`])
 //! so tests can drive the engine's error paths through the same trait
 //! boundary the checker observes.
 
@@ -79,6 +80,14 @@ pub struct JournalDisk {
     state: Mutex<JournalState>,
     /// Writes remaining until an injected failure; negative = disarmed.
     fail_in: AtomicI64,
+    /// Reads remaining until an injected failure; negative = disarmed.
+    read_fail_in: AtomicI64,
+}
+
+/// One step of a one-shot fault countdown: true when this call is the one
+/// that fails.
+fn countdown_fires(counter: &AtomicI64) -> bool {
+    counter.load(Ordering::SeqCst) >= 0 && counter.fetch_sub(1, Ordering::SeqCst) == 0
 }
 
 impl JournalDisk {
@@ -98,6 +107,7 @@ impl JournalDisk {
                 "disk.journal",
             ),
             fail_in: AtomicI64::new(-1),
+            read_fail_in: AtomicI64::new(-1),
         }
     }
 
@@ -129,6 +139,12 @@ impl JournalDisk {
     /// error (and is neither journaled nor forwarded). One-shot.
     pub fn fail_after_writes(&self, n: u64) {
         self.fail_in.store(n as i64, Ordering::SeqCst);
+    }
+
+    /// Inject a read fault: the `n+1`-th read from now returns an I/O
+    /// error. One-shot.
+    pub fn fail_after_reads(&self, n: u64) {
+        self.read_fail_in.store(n as i64, Ordering::SeqCst);
     }
 
     /// Metadata of every recorded event, in order.
@@ -200,18 +216,19 @@ impl JournalDisk {
 
 impl DiskManager for JournalDisk {
     fn read_page(&self, id: PageId) -> StorageResult<Page> {
+        if countdown_fires(&self.read_fail_in) {
+            return Err(StorageError::Io(std::io::Error::other(
+                "injected read fault",
+            )));
+        }
         self.inner.read_page(id)
     }
 
     fn write_page(&self, id: PageId, page: &Page) -> StorageResult<()> {
-        let armed = self.fail_in.load(Ordering::SeqCst);
-        if armed >= 0 {
-            let left = self.fail_in.fetch_sub(1, Ordering::SeqCst);
-            if left == 0 {
-                return Err(StorageError::Io(std::io::Error::other(
-                    "injected write fault",
-                )));
-            }
+        if countdown_fires(&self.fail_in) {
+            return Err(StorageError::Io(std::io::Error::other(
+                "injected write fault",
+            )));
         }
         self.inner.write_page(id, page)?;
         let mut st = self.state.lock();

@@ -89,15 +89,17 @@ impl Session {
         &self.db
     }
 
-    /// Begin a transaction.
+    /// Begin a transaction. Only its id is allocated: nothing is logged
+    /// until its first write (see [`Txn`]).
     pub fn begin(&self) -> Txn {
-        let id = self.db.begin_txn();
+        let id = self.db.new_txn_id();
         let owner = OwnerId(id.0);
         Txn {
             db: Arc::clone(&self.db),
             id,
             owner,
             prev_lsn: Lsn::ZERO,
+            logged: false,
             finished: false,
             rs_fallbacks: 0,
         }
@@ -138,11 +140,21 @@ impl Session {
 /// An open transaction. Locks are held to commit/abort (strict two-phase);
 /// record-level locking uses IS/IX on leaf pages plus S/X on keys, exactly
 /// the granularity Table 1 assumes.
+///
+/// As §4.1.2 has it, a reader takes locks and writes no log records. The
+/// first write logs `TxnBegin` and registers the transaction active; until
+/// then commit, abort and drop only release locks — no record, no force.
+/// That is safe because a writer releases its locks only after its commit
+/// record is durable, so everything a reader's S locks let it see is
+/// already committed on disk (DESIGN.md, "Read-only transactions").
 pub struct Txn {
     db: Arc<Database>,
     id: TxnId,
     owner: OwnerId,
     prev_lsn: Lsn,
+    /// `TxnBegin` is in the log and the database lists this transaction
+    /// active; false while it has written nothing.
+    logged: bool,
     finished: bool,
     rs_fallbacks: u64,
 }
@@ -161,6 +173,16 @@ impl Txn {
     fn note(&mut self, lsn: Lsn) {
         self.prev_lsn = lsn;
         self.db.note_txn_lsn(self.id, lsn);
+    }
+
+    /// Log `TxnBegin` before the first write, exactly once — also when
+    /// that write then fails, so the commit or abort that follows is
+    /// logged against a BEGIN.
+    fn log_begin(&mut self) {
+        if !self.logged {
+            self.db.log_txn_begin(self.id);
+            self.logged = true;
+        }
     }
 
     /// Acquire the tree lock in the given intention mode, re-reading the
@@ -252,14 +274,17 @@ impl Txn {
     pub fn get(&mut self, key: u64) -> TxnResult<Option<Vec<u8>>> {
         self.lock_tree(LockMode::IS)?;
         let leaf = self.couple_to_leaf(key, LockMode::S)?;
-        let v = self.db.tree().search(key).map_err(CoreError::Tree)?;
-        // "the S lock on the page is downgraded to IS while an S lock on the
-        // read record is held to the end of transaction."
+        // The key lock comes before the search: the leaf S lock alone does
+        // not exclude an uncommitted insert of `key` by a writer whose
+        // split carried it onto a leaf the writer never locked.
         self.lockmap(
             self.db
                 .locks()
                 .lock(self.owner, ResourceId::Key(key), LockMode::S),
         )?;
+        let v = self.db.tree().search(key).map_err(CoreError::Tree)?;
+        // "the S lock on the page is downgraded to IS while an S lock on the
+        // read record is held to the end of transaction."
         self.db
             .locks()
             .downgrade(self.owner, ResourceId::Page(leaf.0), LockMode::IS);
@@ -288,6 +313,7 @@ impl Txn {
                 .lock(self.owner, ResourceId::Key(key), LockMode::X),
         )?;
         let _ = leaf;
+        self.log_begin();
         match self.db.tree().insert(self.id, self.prev_lsn, key, value) {
             Ok(lsn) => {
                 self.note(lsn);
@@ -308,6 +334,7 @@ impl Txn {
                 .lock(self.owner, ResourceId::Key(key), LockMode::X),
         )?;
         let _ = leaf;
+        self.log_begin();
         match self.db.tree().delete(self.id, self.prev_lsn, key) {
             Ok((lsn, old)) => {
                 self.note(lsn);
@@ -324,26 +351,29 @@ impl Txn {
         Ok(old)
     }
 
-    /// Commit: force the commit record, then release all locks.
+    /// Commit: force the commit record, then release all locks. A
+    /// transaction that has written nothing only releases its locks.
     ///
     /// The append is a short in-memory critical section; the durability wait
     /// rides the WAL group committer, so concurrent committers share one
     /// write+fsync instead of serializing on the log file.
     pub fn commit(mut self) -> TxnResult<()> {
-        let commit_lsn = self.db.log().append(&LogRecord::TxnCommit { txn: self.id });
-        if let Err(e) = self.db.log().flush_to(commit_lsn) {
-            // The force failed, but the commit record already sits in the
-            // in-memory log: any later successful batch (another
-            // committer's group commit, a checkpoint) would make it durable
-            // and silently commit a transaction we are about to report as
-            // failed. Roll back while the locks are still held — the CLRs
-            // and TxnAbort land after the commit record, so whatever
-            // durability the log eventually reaches, this transaction ends
-            // aborted.
-            let _ = self.rollback();
-            return Err(TxnError::Engine(CoreError::Storage(e)));
+        if self.logged {
+            let commit_lsn = self.db.log().append(&LogRecord::TxnCommit { txn: self.id });
+            if let Err(e) = self.db.log().flush_to(commit_lsn) {
+                // The force failed, but the commit record already sits in
+                // the in-memory log: any later successful batch (another
+                // committer's group commit, a checkpoint) would make it
+                // durable and silently commit a transaction we are about
+                // to report as failed. Roll back while the locks are still
+                // held — the CLRs and TxnAbort land after the commit
+                // record, so whatever durability the log eventually
+                // reaches, this transaction ends aborted.
+                let _ = self.rollback();
+                return Err(TxnError::Engine(CoreError::Storage(e)));
+            }
+            self.db.end_txn(self.id);
         }
-        self.db.end_txn(self.id);
         self.db.locks().release_all(self.owner);
         self.finished = true;
         Ok(())
@@ -355,8 +385,9 @@ impl Txn {
     }
 
     /// Undo every change via the prev-LSN chain (writing CLRs), append
-    /// `TxnAbort`, then release locks. Shared by [`Self::abort`] and the
-    /// commit path when the commit-record force fails.
+    /// `TxnAbort` if `TxnBegin` was logged, then release locks. Shared by
+    /// [`Self::abort`] and the commit path when the commit-record force
+    /// fails.
     fn rollback(&mut self) -> TxnResult<()> {
         let mut cur = self.prev_lsn;
         while cur != Lsn::ZERO {
@@ -403,8 +434,10 @@ impl Txn {
                 _ => break,
             };
         }
-        self.db.log().append(&LogRecord::TxnAbort { txn: self.id });
-        self.db.end_txn(self.id);
+        if self.logged {
+            self.db.log().append(&LogRecord::TxnAbort { txn: self.id });
+            self.db.end_txn(self.id);
+        }
         self.db.locks().release_all(self.owner);
         self.finished = true;
         Ok(())
@@ -415,9 +448,11 @@ impl Drop for Txn {
     fn drop(&mut self) {
         if !self.finished {
             // Leaked transaction: release its locks so nothing hangs; its
-            // log records will be rolled back by recovery (it never
-            // committed).
-            self.db.end_txn(self.id);
+            // log records (if it wrote) will be rolled back by recovery (it
+            // never committed).
+            if self.logged {
+                self.db.end_txn(self.id);
+            }
             self.db.locks().release_all(self.owner);
         }
     }
