@@ -102,7 +102,7 @@ fn run_one(
                 let write_base = 1u64 << 32;
                 barrier.wait();
                 let mut i = 0u64;
-                // relaxed: go/no-go flag for the measurement window.
+                // protocol: relaxed go/no-go flag for the measurement window.
                 while !stop.load(Ordering::Relaxed) {
                     let r = xorshift(&mut rng);
                     let key = r % preload;
@@ -134,7 +134,7 @@ fn run_one(
         barrier.wait();
         let started = Instant::now();
         std::thread::sleep(window);
-        // relaxed: go/no-go flag.
+        // protocol: relaxed go/no-go flag.
         stop.store(true, Ordering::Relaxed);
         let results: Vec<(LatencyHistogram, u64)> = handles
             .into_iter()

@@ -364,6 +364,7 @@ pub fn e5_forward_recovery(scale: Scale) -> String {
             std::thread::scope(|s| {
                 let stopper = s.spawn(|| {
                     std::thread::sleep(Duration::from_millis(5 + c * 3));
+                    // protocol: relaxed a go/no-go flag polled by run_merges.
                     t.stop.store(true, obr_sync::atomic::Ordering::Relaxed);
                 });
                 t.run_merges().unwrap();

@@ -524,7 +524,7 @@ fn scenario_segmented_wal(
     // the engine), so raw std atomics are fine here.
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEG_SCENARIO_DIRS: AtomicU64 = AtomicU64::new(0);
-    // relaxed: scratch-directory name uniqueness counter only.
+    // protocol: relaxed scratch-directory name uniqueness counter only.
     let n = SEG_SCENARIO_DIRS.fetch_add(1, Ordering::Relaxed);
     let root =
         std::env::temp_dir().join(format!("obr-crashcheck-segwal-{}-{n}", std::process::id()));

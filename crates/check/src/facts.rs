@@ -8,7 +8,11 @@
 //!   and `// protocol:` annotations;
 //! * per-function **op streams**: a linear, token-ordered list of lock
 //!   acquisitions (with lexical guard scopes), calls (with receiver
-//!   chains), and atomic operations (with `Ordering` arguments).
+//!   chains), and atomic operations (with `Ordering` arguments);
+//! * whole-file source facts: every `Ordering::Relaxed` site with whether
+//!   a `// protocol: relaxed` note justifies it, and every raw sync path
+//!   (`std::sync` locks or atomics, `parking_lot`) that bypasses the
+//!   `obr-sync` facade. These cover the whole file, test modules included.
 //!
 //! The op stream deliberately defers *resolution* (which function does a
 //! call land on, what type is a receiver) to [`crate::callgraph`], which
@@ -48,6 +52,14 @@ const ATOMIC_METHODS: &[&str] = &[
     "compare_exchange_weak",
 ];
 
+/// What a `std::sync` path may not reach outside the facade: the atomics
+/// module and the lock types the model scheduler replaces.
+const MODELED_SYNC: &[&str] = &["atomic", "Mutex", "RwLock", "Condvar", "Barrier"];
+
+/// How many lines above an `Ordering::Relaxed` site its
+/// `// protocol: relaxed` note may sit.
+const RELAXED_NOTE_WINDOW: u32 = 5;
+
 const KEYWORDS: &[&str] = &[
     "if", "while", "for", "match", "return", "loop", "fn", "as", "in", "move", "else", "unsafe",
     "ref", "let", "mut", "where", "impl", "pub", "use", "mod", "struct", "enum", "trait", "const",
@@ -67,6 +79,10 @@ pub enum AnnKind {
     /// This atomic access site is audited as exempt from publication
     /// pairing (R3).
     MixedOrdering,
+    /// The `Ordering::Relaxed` sites on this line and the five below are
+    /// audited: they order nothing that matters. Does not exempt a site
+    /// from R3.
+    Relaxed,
 }
 
 /// One parsed `// protocol: <kind> <reason>` annotation.
@@ -237,6 +253,16 @@ pub enum TyperHint {
     StructLit(String),
 }
 
+/// A line holding one or more `Ordering::Relaxed` paths.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RelaxedSite {
+    /// The line.
+    pub line: u32,
+    /// A `// protocol: relaxed` note sits on this line or one of the
+    /// five above.
+    pub justified: bool,
+}
+
 /// Everything extracted from one source file.
 #[derive(Debug, Clone)]
 pub struct FileFacts {
@@ -248,6 +274,11 @@ pub struct FileFacts {
     pub classes: Vec<ClassBinding>,
     /// Functions with op streams (test modules excluded).
     pub fns: Vec<FnInfo>,
+    /// `Ordering::Relaxed` sites, one per line (test modules included).
+    pub relaxed_sites: Vec<RelaxedSite>,
+    /// Lines naming a raw sync primitive the facade does not model
+    /// (test modules included).
+    pub raw_sync_lines: Vec<u32>,
 }
 
 /// Strip reference/wrapper layers off a type's token texts and return
@@ -367,6 +398,7 @@ fn parse_protocol_comment(text: &str, line: u32) -> Option<Annotation> {
         "page-mutation" => AnnKind::PageMutation,
         "no-wal" => AnnKind::NoWal,
         "mixed-ordering" => AnnKind::MixedOrdering,
+        "relaxed" => AnnKind::Relaxed,
         _ => return None,
     };
     Some(Annotation {
@@ -393,12 +425,154 @@ pub fn extract_file(path: &str, src: &str) -> FileFacts {
     // scanner resolves `.lock()` receivers against them.
     ex.mine_class_bindings();
     ex.scan_items(0, toks.len(), &mut Vec::new());
+    let code: Vec<&Tok<'_>> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
     FileFacts {
         path: to_string_path(path),
+        relaxed_sites: relaxed_sites(&code, &ex.protocol_comments),
+        raw_sync_lines: raw_sync_lines(&code),
         structs: ex.structs,
         classes: ex.classes,
         fns: ex.fns,
     }
+}
+
+/// Every line of the code tokens with an `Ordering::Relaxed` path, marked
+/// justified when a `relaxed` note sits on it or within
+/// [`RELAXED_NOTE_WINDOW`] lines above.
+fn relaxed_sites(code: &[&Tok<'_>], notes: &[Annotation]) -> Vec<RelaxedSite> {
+    let mut sites: Vec<RelaxedSite> = Vec::new();
+    for w in code.windows(3) {
+        let line = w[2].line;
+        // `StdOrdering::Relaxed` (a renamed import) counts too.
+        let ordering = w[0].kind == TokKind::Ident && w[0].text.ends_with("Ordering");
+        if !(ordering && w[1].is_punct("::") && w[2].is_ident("Relaxed"))
+            || sites.last().is_some_and(|s| s.line == line)
+        {
+            continue;
+        }
+        let justified = notes.iter().any(|a| {
+            a.kind == AnnKind::Relaxed && a.line <= line && line - a.line <= RELAXED_NOTE_WINDOW
+        });
+        sites.push(RelaxedSite { line, justified });
+    }
+    sites
+}
+
+/// Lines naming a sync primitive the `obr-sync` facade does not model:
+/// any `parking_lot` path, or a `std::sync` path — a `use` tree included —
+/// that reaches the atomics module or a lock type.
+fn raw_sync_lines(code: &[&Tok<'_>]) -> Vec<u32> {
+    let mut lines: Vec<u32> = Vec::new();
+    for (i, t) in code.iter().enumerate() {
+        let std_sync = code.get(i..i + 4).is_some_and(|w| {
+            w[0].is_ident("std")
+                && w[1].is_punct("::")
+                && w[2].is_ident("sync")
+                && w[3].is_punct("::")
+        });
+        let raw = t.is_ident("parking_lot") || (std_sync && path_tail_is_modeled(&code[i + 4..]));
+        if raw && lines.last() != Some(&t.line) {
+            lines.push(t.line);
+        }
+    }
+    lines
+}
+
+/// Whether the rest of a path (segments, `use` braces, globs) names a
+/// [`MODELED_SYNC`] item before the path ends.
+fn path_tail_is_modeled(tail: &[&Tok<'_>]) -> bool {
+    let mut depth = 0u32;
+    for t in tail {
+        match (t.kind, t.text) {
+            (TokKind::Ident, id) if MODELED_SYNC.contains(&id) => return true,
+            (TokKind::Ident, _) | (TokKind::Punct, "::" | "," | "*") => {}
+            (TokKind::Punct, "{") => depth += 1,
+            (TokKind::Punct, "}") if depth > 0 => depth -= 1,
+            _ => return false,
+        }
+    }
+    false
+}
+
+/// Next non-comment token index at or after `i`, bounded by `end`.
+fn sig(toks: &[Tok<'_>], mut i: usize, end: usize) -> Option<usize> {
+    while i < end {
+        if toks[i].kind != TokKind::Comment {
+            return Some(i);
+        }
+        i += 1;
+    }
+    None
+}
+
+/// Skip a balanced `< ... >` group starting at `i` (which must be `<`).
+/// Returns the index just past the closing `>`.
+fn skip_angles(toks: &[Tok<'_>], i: usize, end: usize) -> usize {
+    let mut depth = 0i32;
+    let mut j = i;
+    while j < end {
+        match toks[j].text {
+            "<" => depth += 1,
+            "<<" => depth += 2,
+            ">" => {
+                depth -= 1;
+                if depth <= 0 {
+                    return j + 1;
+                }
+            }
+            ">>" => {
+                depth -= 2;
+                if depth <= 0 {
+                    return j + 1;
+                }
+            }
+            ";" | "{" => return j, // malformed; bail out
+            _ => {}
+        }
+        j += 1;
+    }
+    j
+}
+
+/// Skip a balanced delimiter group; `i` points at the opener.
+/// Returns index just past the matching closer.
+fn skip_group(toks: &[Tok<'_>], i: usize, end: usize, open: &str, close: &str) -> usize {
+    let mut depth = 0i32;
+    for (j, t) in toks.iter().enumerate().take(end).skip(i) {
+        if t.kind == TokKind::Punct {
+            if t.text == open {
+                depth += 1;
+            } else if t.text == close {
+                depth -= 1;
+                if depth == 0 {
+                    return j + 1;
+                }
+            }
+        }
+    }
+    end.max(i)
+}
+
+/// Index of the next `,` outside angle, paren and bracket nesting in
+/// `[i, end)`, or `end`.
+fn top_level_comma(toks: &[Tok<'_>], i: usize, end: usize) -> usize {
+    let (mut angles, mut parens) = (0i32, 0i32);
+    for (k, t) in toks.iter().enumerate().take(end).skip(i) {
+        if t.kind != TokKind::Punct {
+            continue;
+        }
+        match t.text {
+            "<" => angles += 1,
+            "<<" => angles += 2,
+            ">" => angles -= 1,
+            ">>" => angles -= 2,
+            "(" | "[" => parens += 1,
+            ")" | "]" => parens -= 1,
+            "," if angles <= 0 && parens <= 0 => return k,
+            _ => {}
+        }
+    }
+    end.max(i)
 }
 
 fn to_string_path(p: &str) -> String {
@@ -436,68 +610,6 @@ impl<'a, 't> Extractor<'a, 't> {
         self.ann_used = vec![false; self.protocol_comments.len()];
     }
 
-    /// Next non-comment token index at or after `i`, bounded by `end`.
-    fn sig(&self, mut i: usize, end: usize) -> Option<usize> {
-        while i < end {
-            if self.toks[i].kind != TokKind::Comment {
-                return Some(i);
-            }
-            i += 1;
-        }
-        None
-    }
-
-    /// Skip a balanced `< ... >` group starting at `i` (which must be `<`).
-    /// Returns the index just past the closing `>`.
-    fn skip_angles(&self, i: usize, end: usize) -> usize {
-        let mut depth = 0i32;
-        let mut j = i;
-        while j < end {
-            match self.toks[j].text {
-                "<" => depth += 1,
-                "<<" => depth += 2,
-                ">" => {
-                    depth -= 1;
-                    if depth <= 0 {
-                        return j + 1;
-                    }
-                }
-                ">>" => {
-                    depth -= 2;
-                    if depth <= 0 {
-                        return j + 1;
-                    }
-                }
-                ";" | "{" => return j, // malformed; bail out
-                _ => {}
-            }
-            j += 1;
-        }
-        j
-    }
-
-    /// Skip a balanced delimiter group; `i` points at the opener.
-    /// Returns index just past the matching closer.
-    fn skip_group(&self, i: usize, end: usize, open: &str, close: &str) -> usize {
-        let mut depth = 0i32;
-        let mut j = i;
-        while j < end {
-            let t = self.toks[j].text;
-            if self.toks[j].kind == TokKind::Punct {
-                if t == open {
-                    depth += 1;
-                } else if t == close {
-                    depth -= 1;
-                    if depth == 0 {
-                        return j + 1;
-                    }
-                }
-            }
-            j += 1;
-        }
-        j
-    }
-
     /// Top-level item scan over `[i, end)`. `ctx` is the impl-context
     /// stack.
     fn scan_items(&mut self, mut i: usize, end: usize, ctx: &mut Vec<ImplCtx>) {
@@ -510,10 +622,10 @@ impl<'a, 't> Extractor<'a, 't> {
             match (t.kind, t.text) {
                 // Attributes: detect #[cfg(test)] guarding a mod/fn.
                 (TokKind::Punct, "#") => {
-                    let open = self.sig(i + 1, end);
+                    let open = sig(self.toks, i + 1, end);
                     if let Some(o) = open {
                         if self.toks[o].is_punct("[") {
-                            let close = self.skip_group(o, end, "[", "]");
+                            let close = skip_group(self.toks, o, end, "[", "]");
                             let mut is_cfg_test = false;
                             let mut saw_cfg = false;
                             for k in o..close {
@@ -556,7 +668,7 @@ impl<'a, 't> Extractor<'a, 't> {
                         j += 1;
                     }
                     if j < end && self.toks[j].is_punct("{") {
-                        let close = self.skip_group(j, end, "{", "}");
+                        let close = skip_group(self.toks, j, end, "{", "}");
                         self.scan_items(j + 1, close.saturating_sub(1), ctx);
                         i = close;
                     } else {
@@ -573,14 +685,14 @@ impl<'a, 't> Extractor<'a, 't> {
     fn skip_item(&self, mut i: usize, end: usize) -> usize {
         // Skip further attributes.
         loop {
-            let s = match self.sig(i, end) {
+            let s = match sig(self.toks, i, end) {
                 Some(s) => s,
                 None => return end,
             };
             if self.toks[s].is_punct("#") {
-                if let Some(o) = self.sig(s + 1, end) {
+                if let Some(o) = sig(self.toks, s + 1, end) {
                     if self.toks[o].is_punct("[") {
-                        i = self.skip_group(o, end, "[", "]");
+                        i = skip_group(self.toks, o, end, "[", "]");
                         continue;
                     }
                 }
@@ -595,7 +707,7 @@ impl<'a, 't> Extractor<'a, 't> {
                 return j + 1;
             }
             if t.is_punct("{") {
-                return self.skip_group(j, end, "{", "}");
+                return skip_group(self.toks, j, end, "{", "}");
             }
             j += 1;
         }
@@ -603,7 +715,7 @@ impl<'a, 't> Extractor<'a, 't> {
     }
 
     fn parse_struct(&mut self, i: usize, end: usize) -> usize {
-        let name_i = match self.sig(i + 1, end) {
+        let name_i = match sig(self.toks, i + 1, end) {
             Some(n) if self.toks[n].kind == TokKind::Ident => n,
             _ => return i + 1,
         };
@@ -611,7 +723,7 @@ impl<'a, 't> Extractor<'a, 't> {
         let line = self.toks[name_i].line;
         let mut j = name_i + 1;
         if j < end && self.toks[j].is_punct("<") {
-            j = self.skip_angles(j, end);
+            j = skip_angles(self.toks, j, end);
         }
         // Skip a `where` clause if present.
         while j < end
@@ -624,7 +736,7 @@ impl<'a, 't> Extractor<'a, 't> {
         if j >= end || !self.toks[j].is_punct("{") {
             // Tuple struct or unit struct: no named fields to record.
             if j < end && self.toks[j].is_punct("(") {
-                let close = self.skip_group(j, end, "(", ")");
+                let close = skip_group(self.toks, j, end, "(", ")");
                 self.structs.push(StructInfo {
                     name,
                     line,
@@ -644,7 +756,7 @@ impl<'a, 't> Extractor<'a, 't> {
             });
             return j + 1;
         }
-        let close = self.skip_group(j, end, "{", "}");
+        let close = skip_group(self.toks, j, end, "{", "}");
         let body_end = close.saturating_sub(1);
         let mut fields = Vec::new();
         let mut k = j + 1;
@@ -655,9 +767,9 @@ impl<'a, 't> Extractor<'a, 't> {
                 continue;
             }
             if self.toks[k].is_punct("#") {
-                if let Some(o) = self.sig(k + 1, body_end) {
+                if let Some(o) = sig(self.toks, k + 1, body_end) {
                     if self.toks[o].is_punct("[") {
-                        k = self.skip_group(o, body_end, "[", "]");
+                        k = skip_group(self.toks, o, body_end, "[", "]");
                         continue;
                     }
                 }
@@ -667,40 +779,22 @@ impl<'a, 't> Extractor<'a, 't> {
             if self.toks[k].is_ident("pub") {
                 k += 1;
                 if k < body_end && self.toks[k].is_punct("(") {
-                    k = self.skip_group(k, body_end, "(", ")");
+                    k = skip_group(self.toks, k, body_end, "(", ")");
                 }
                 continue;
             }
             if self.toks[k].kind == TokKind::Ident {
                 // field name `:` type `,`
                 let fname = self.toks[k].text.to_string();
-                let colon = self.sig(k + 1, body_end);
+                let colon = sig(self.toks, k + 1, body_end);
                 if let Some(c) = colon {
                     if self.toks[c].is_punct(":") {
-                        // Collect type tokens to the next top-level comma.
-                        let mut depth_a = 0i32; // angles
-                        let mut depth_p = 0i32; // parens/brackets
-                        let mut ty: Vec<&str> = Vec::new();
-                        let mut m = c + 1;
-                        while m < body_end {
-                            let tt = self.toks[m].text;
-                            if self.toks[m].kind == TokKind::Punct {
-                                match tt {
-                                    "<" => depth_a += 1,
-                                    "<<" => depth_a += 2,
-                                    ">" => depth_a -= 1,
-                                    ">>" => depth_a -= 2,
-                                    "(" | "[" => depth_p += 1,
-                                    ")" | "]" => depth_p -= 1,
-                                    "," if depth_a <= 0 && depth_p <= 0 => break,
-                                    _ => {}
-                                }
-                            }
-                            if self.toks[m].kind != TokKind::Comment {
-                                ty.push(tt);
-                            }
-                            m += 1;
-                        }
+                        let m = top_level_comma(self.toks, c + 1, body_end);
+                        let ty: Vec<&str> = self.toks[c + 1..m]
+                            .iter()
+                            .filter(|t| t.kind != TokKind::Comment)
+                            .map(|t| t.text)
+                            .collect();
                         let is_atomic = ty.iter().any(|t| t.starts_with("Atomic"));
                         fields.push(FieldInfo {
                             name: fname,
@@ -725,7 +819,7 @@ impl<'a, 't> Extractor<'a, 't> {
     fn parse_impl(&mut self, i: usize, end: usize, ctx: &mut Vec<ImplCtx>) -> usize {
         let mut j = i + 1;
         if j < end && self.toks[j].is_punct("<") {
-            j = self.skip_angles(j, end);
+            j = skip_angles(self.toks, j, end);
         }
         // First path (self type or trait).
         let (first, j2) = self.parse_type_path(j, end);
@@ -747,7 +841,7 @@ impl<'a, 't> Extractor<'a, 't> {
         if j >= end || !self.toks[j].is_punct("{") {
             return j + 1;
         }
-        let close = self.skip_group(j, end, "{", "}");
+        let close = skip_group(self.toks, j, end, "{", "}");
         ctx.push(ImplCtx {
             self_type,
             trait_name,
@@ -758,7 +852,7 @@ impl<'a, 't> Extractor<'a, 't> {
     }
 
     fn parse_trait(&mut self, i: usize, end: usize, ctx: &mut Vec<ImplCtx>) -> usize {
-        let name_i = match self.sig(i + 1, end) {
+        let name_i = match sig(self.toks, i + 1, end) {
             Some(n) if self.toks[n].kind == TokKind::Ident => n,
             _ => return i + 1,
         };
@@ -770,7 +864,7 @@ impl<'a, 't> Extractor<'a, 't> {
         if j >= end || !self.toks[j].is_punct("{") {
             return j + 1;
         }
-        let close = self.skip_group(j, end, "{", "}");
+        let close = skip_group(self.toks, j, end, "{", "}");
         ctx.push(ImplCtx {
             self_type: Some(name.clone()),
             trait_name: Some(name),
@@ -793,7 +887,7 @@ impl<'a, 't> Extractor<'a, 't> {
                     last = Some(t.text.to_string());
                     i += 1;
                     if i < end && self.toks[i].is_punct("<") {
-                        i = self.skip_angles(i, end);
+                        i = skip_angles(self.toks, i, end);
                     }
                     if i < end && self.toks[i].is_punct("::") {
                         i += 1;
@@ -808,7 +902,7 @@ impl<'a, 't> Extractor<'a, 't> {
     }
 
     fn parse_fn(&mut self, i: usize, end: usize, ctx: &mut [ImplCtx]) -> usize {
-        let name_i = match self.sig(i + 1, end) {
+        let name_i = match sig(self.toks, i + 1, end) {
             Some(n) if self.toks[n].kind == TokKind::Ident => n,
             _ => return i + 1,
         };
@@ -816,12 +910,12 @@ impl<'a, 't> Extractor<'a, 't> {
         let fn_line = self.toks[i].line;
         let mut j = name_i + 1;
         if j < end && self.toks[j].is_punct("<") {
-            j = self.skip_angles(j, end);
+            j = skip_angles(self.toks, j, end);
         }
         if j >= end || !self.toks[j].is_punct("(") {
             return j;
         }
-        let params_close = self.skip_group(j, end, "(", ")");
+        let params_close = skip_group(self.toks, j, end, "(", ")");
         let (params, has_self) = self.parse_params(j + 1, params_close.saturating_sub(1));
         // Return type.
         let mut k = params_close;
@@ -846,7 +940,7 @@ impl<'a, 't> Extractor<'a, 't> {
         if k >= end || self.toks[k].is_punct(";") {
             return k + 1; // trait method signature without body
         }
-        let body_close = self.skip_group(k, end, "{", "}");
+        let body_close = skip_group(self.toks, k, end, "{", "}");
 
         let (impl_type, trait_name) = match ctx.last() {
             Some(c) => (c.self_type.clone(), c.trait_name.clone()),
@@ -859,7 +953,7 @@ impl<'a, 't> Extractor<'a, 't> {
         let mut anns: Vec<Annotation> = Vec::new();
         for (ai, a) in self.protocol_comments.iter().enumerate() {
             if self.ann_used[ai]
-                || a.kind == AnnKind::MixedOrdering
+                || matches!(a.kind, AnnKind::MixedOrdering | AnnKind::Relaxed)
                 || a.line > fn_line
                 || fn_line - a.line > 6
             {
@@ -901,31 +995,12 @@ impl<'a, 't> Extractor<'a, 't> {
         let mut i = start;
         loop {
             // One parameter: tokens up to a top-level comma.
-            let mut depth_a = 0i32;
-            let mut depth_p = 0i32;
-            let mut toks: Vec<(usize, &str)> = Vec::new();
-            while i < end {
-                let t = &self.toks[i];
-                if t.kind == TokKind::Punct {
-                    match t.text {
-                        "<" => depth_a += 1,
-                        "<<" => depth_a += 2,
-                        ">" => depth_a -= 1,
-                        ">>" => depth_a -= 2,
-                        "(" | "[" => depth_p += 1,
-                        ")" | "]" => depth_p -= 1,
-                        "," if depth_a <= 0 && depth_p <= 0 => {
-                            i += 1;
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-                if t.kind != TokKind::Comment {
-                    toks.push((i, t.text));
-                }
-                i += 1;
-            }
+            let comma = top_level_comma(self.toks, i, end);
+            let toks: Vec<(usize, &str)> = (i..comma)
+                .filter(|&k| self.toks[k].kind != TokKind::Comment)
+                .map(|k| (k, self.toks[k].text))
+                .collect();
+            i = comma + 1;
             if toks.is_empty() {
                 break;
             }
@@ -971,7 +1046,7 @@ impl<'a, 't> Extractor<'a, 't> {
                 i += 1;
                 continue;
             }
-            let close = self.skip_group(i + 3, n, "(", ")");
+            let close = skip_group(self.toks, i + 3, n, "(", ")");
             // The class is the final top-level string argument.
             let mut depth = 0i32;
             let mut class: Option<String> = None;
@@ -1004,13 +1079,20 @@ impl<'a, 't> Extractor<'a, 't> {
     }
 
     /// For a `Mutex::named` at token `i`, find the field/local name it
-    /// is being bound to, looking backwards.
+    /// is being bound to, looking backwards over comments and any path
+    /// prefix (`obr_sync::Mutex::named`).
     fn binding_name_before(&self, i: usize) -> Option<String> {
         let toks = self.toks;
-        // Walk back over comments.
         let mut j = i;
-        while j > 0 && toks[j - 1].kind == TokKind::Comment {
-            j -= 1;
+        loop {
+            while j > 0 && toks[j - 1].kind == TokKind::Comment {
+                j -= 1;
+            }
+            if j >= 2 && toks[j - 1].is_punct("::") && toks[j - 2].kind == TokKind::Ident {
+                j -= 2;
+            } else {
+                break;
+            }
         }
         if j == 0 {
             return None;
@@ -1160,7 +1242,7 @@ impl<'a, 't> BodyScanner<'a, 't> {
                     && after + 1 < end
                     && toks[after + 1].is_punct("<")
                 {
-                    let close = self.skip_angles_fwd(after + 1, end);
+                    let close = skip_angles(self.toks, after + 1, end);
                     after = close;
                 }
                 let is_macro = after < end && toks[after].is_punct("!");
@@ -1169,7 +1251,7 @@ impl<'a, 't> BodyScanner<'a, 't> {
                     let prev_sig = self.prev_sig(i, start);
                     let prev_is_fn = prev_sig.map(|p| toks[p].is_ident("fn")).unwrap_or(false);
                     if !prev_is_fn {
-                        let args_close = self.skip_group_fwd(after, end, "(", ")");
+                        let args_close = skip_group(self.toks, after, end, "(", ")");
                         self.handle_call(
                             i,
                             name,
@@ -1206,53 +1288,6 @@ impl<'a, 't> BodyScanner<'a, 't> {
             }
         }
         None
-    }
-
-    fn skip_angles_fwd(&self, i: usize, end: usize) -> usize {
-        let mut depth = 0i32;
-        let mut j = i;
-        while j < end {
-            match self.toks[j].text {
-                "<" => depth += 1,
-                "<<" => depth += 2,
-                ">" => {
-                    depth -= 1;
-                    if depth <= 0 {
-                        return j + 1;
-                    }
-                }
-                ">>" => {
-                    depth -= 2;
-                    if depth <= 0 {
-                        return j + 1;
-                    }
-                }
-                ";" | "{" => return j,
-                _ => {}
-            }
-            j += 1;
-        }
-        j
-    }
-
-    fn skip_group_fwd(&self, i: usize, end: usize, open: &str, close: &str) -> usize {
-        let mut depth = 0i32;
-        let mut j = i;
-        while j < end {
-            let t = &self.toks[j];
-            if t.kind == TokKind::Punct {
-                if t.text == open {
-                    depth += 1;
-                } else if t.text == close {
-                    depth -= 1;
-                    if depth == 0 {
-                        return j + 1;
-                    }
-                }
-            }
-            j += 1;
-        }
-        j
     }
 
     /// Walk the receiver chain ending just before the `.` that precedes
@@ -1352,7 +1387,7 @@ impl<'a, 't> BodyScanner<'a, 't> {
     /// (None for `_`/patterns).
     fn let_binding(&self, stmt_start: usize, at: usize) -> (bool, Option<String>) {
         let toks = self.toks;
-        let first = match self.sig_fwd(stmt_start, at) {
+        let first = match sig(self.toks, stmt_start, at) {
             Some(f) => f,
             None => return (false, None),
         };
@@ -1368,16 +1403,6 @@ impl<'a, 't> BodyScanner<'a, 't> {
         } else {
             (true, None)
         }
-    }
-
-    fn sig_fwd(&self, mut i: usize, end: usize) -> Option<usize> {
-        while i < end {
-            if self.toks[i].kind != TokKind::Comment {
-                return Some(i);
-            }
-            i += 1;
-        }
-        None
     }
 
     /// True when the call's result is consumed by further chaining —
@@ -1601,6 +1626,75 @@ mod tests {
             .classes
             .iter()
             .any(|c| c.name == "m" && c.class == "x.local"));
+    }
+
+    #[test]
+    fn class_bindings_through_a_path_prefix() {
+        let f = facts(
+            r#"
+            impl Db {
+                fn new() -> Db {
+                    Db {
+                        active: obr_sync::Mutex::named(HashMap::new(), "db.active_txns"),
+                        slot: crate::sync::RwLock::named(None, "tree.observer"),
+                    }
+                }
+            }
+            "#,
+        );
+        let bound: Vec<(&str, &str)> = f
+            .classes
+            .iter()
+            .map(|c| (c.name.as_str(), c.class.as_str()))
+            .collect();
+        assert_eq!(
+            bound,
+            [("active", "db.active_txns"), ("slot", "tree.observer")]
+        );
+    }
+
+    #[test]
+    fn relaxed_sites_and_their_notes() {
+        let f = facts(
+            r#"
+            fn f(x: &AtomicU64) {
+                // protocol: relaxed a counter nobody orders against
+                x.load(Ordering::Relaxed);
+                x.compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed);
+                x.load(Ordering::Acquire);
+                x.load(Ordering::Acquire);
+                // a plain comment justifies nothing
+                x.load(Ordering::Relaxed);
+            }
+            "#,
+        );
+        let sites: Vec<(u32, bool)> = f
+            .relaxed_sites
+            .iter()
+            .map(|s| (s.line, s.justified))
+            .collect();
+        assert_eq!(sites, vec![(4, true), (5, true), (9, false)]);
+        assert!(
+            f.fns[0].anns.is_empty(),
+            "a site note is not a fn annotation"
+        );
+    }
+
+    #[test]
+    fn raw_sync_paths() {
+        let f = facts(
+            r#"
+            use std::sync::Arc;
+            use std::sync::{
+                Arc as A,
+                Mutex,
+            };
+            use std::sync::atomic::AtomicU64;
+            use parking_lot::RwLock;
+            fn f() -> std::sync::Arc<u32> { std::sync::Arc::new(1) }
+            "#,
+        );
+        assert_eq!(f.raw_sync_lines, vec![3, 7, 8]);
     }
 
     #[test]

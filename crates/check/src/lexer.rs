@@ -1,5 +1,6 @@
-//! A small hand-rolled Rust lexer: the foundation for the protocol checker
-//! and the comment/string-aware source lint.
+//! A small hand-rolled Rust lexer: the foundation of the source checker
+//! ([`crate::protocol`]), which lexes each file once and runs every rule
+//! over the tokens.
 //!
 //! Goals (and non-goals): we need a token stream that
 //!
@@ -8,7 +9,9 @@
 //! * survives nested block comments, raw strings (`r#"..."#`), char
 //!   literals (including lifetimes, which look like unterminated chars),
 //!   and numeric literals with suffixes,
-//! * keeps comments as tokens so `// protocol:` annotations stay visible.
+//! * keeps comments as tokens so `// protocol:` annotations stay visible,
+//!   while a pattern inside a comment or string literal never reads as
+//!   code.
 //!
 //! It is *not* a full Rust grammar: no macro expansion, no type checking.
 //! Downstream passes work over this stream with brace matching and a few
@@ -135,9 +138,8 @@ pub fn lex(src: &str) -> Vec<Tok<'_>> {
 
         // Raw strings: r"..."  r#"..."#  br##"..."## etc.
         if b == b'r' || b == b'b' {
-            if let Some((end, nl_end)) = try_raw_string(bytes, i) {
+            if let Some(end) = try_raw_string(bytes, i) {
                 bump_lines(bytes, start, end, &mut line);
-                let _ = nl_end;
                 toks.push(Tok {
                     kind: TokKind::Str,
                     text: &src[start..end],
@@ -302,9 +304,9 @@ pub fn lex(src: &str) -> Vec<Tok<'_>> {
     toks
 }
 
-/// Try to lex a raw (byte) string starting at `i`. Returns `(end, end)` of
-/// the literal if one starts here.
-fn try_raw_string(bytes: &[u8], i: usize) -> Option<(usize, usize)> {
+/// Try to lex a raw (byte) string starting at `i`. Returns the end of the
+/// literal if one starts here.
+fn try_raw_string(bytes: &[u8], i: usize) -> Option<usize> {
     let mut j = i;
     if bytes[j] == b'b' {
         j += 1;
@@ -332,51 +334,12 @@ fn try_raw_string(bytes: &[u8], i: usize) -> Option<(usize, usize)> {
                 k += 1;
             }
             if seen == hashes {
-                return Some((k, k));
+                return Some(k);
             }
         }
         j += 1;
     }
-    Some((bytes.len(), bytes.len()))
-}
-
-/// Render the *code-only* view of a source file, line by line: comments
-/// and the contents of string/char literals are blanked (quotes kept so
-/// column structure stays plausible), everything else passes through.
-///
-/// `srclint` matches its needles against these lines, which is what makes
-/// it immune to the "pattern inside a string literal or block comment"
-/// false-positive class.
-pub fn code_lines(src: &str) -> Vec<String> {
-    let n_lines = src.lines().count().max(1);
-    let mut out: Vec<String> = vec![String::new(); n_lines];
-    for t in lex(src) {
-        let idx = (t.line as usize).saturating_sub(1);
-        match t.kind {
-            TokKind::Comment => {}
-            TokKind::Str => {
-                if idx < out.len() {
-                    let line = &mut out[idx];
-                    if !line.is_empty() {
-                        line.push(' ');
-                    }
-                    line.push_str("\"\"");
-                }
-            }
-            _ => {
-                // Multi-line tokens other than strings/comments do not
-                // exist, so the token lands wholly on its start line.
-                if idx < out.len() {
-                    let line = &mut out[idx];
-                    if !line.is_empty() {
-                        line.push(' ');
-                    }
-                    line.push_str(t.text);
-                }
-            }
-        }
-    }
-    out
+    Some(bytes.len())
 }
 
 #[cfg(test)]
@@ -394,14 +357,22 @@ let s = "self.y.load(Ordering::Relaxed)";
 let t = r#"raw Ordering::Relaxed"#;
 self.real.load(Ordering::Relaxed);
 "##;
-        let lines = code_lines(src);
-        let joined = lines.join("\n");
-        assert!(!joined.contains("self . x"));
-        assert!(!joined.contains("self . y") && !joined.contains("self.y"));
-        assert!(!joined.contains("self.z"));
-        assert!(!joined.contains("raw"));
-        // The real access survives (tokens joined by single spaces).
-        assert!(joined.contains("self . real . load ( Ordering :: Relaxed )"));
+        let toks = lex(src);
+        let kinds: Vec<TokKind> = toks.iter().take(9).map(|t| t.kind).collect();
+        use TokKind::*;
+        assert_eq!(
+            kinds,
+            vec![Comment, Ident, Ident, Punct, Str, Punct, Comment, Ident, Ident]
+        );
+        // Only the real access reaches code tokens, on its own line.
+        let code: Vec<&str> = toks
+            .iter()
+            .filter(|t| !matches!(t.kind, Comment | Str))
+            .map(|t| t.text)
+            .collect();
+        assert_eq!(code.iter().filter(|t| **t == "Relaxed").count(), 1);
+        let real = toks.iter().find(|t| t.is_ident("real")).unwrap();
+        assert_eq!(real.line, 8);
     }
 
     #[test]

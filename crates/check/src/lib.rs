@@ -2,7 +2,7 @@
 //! reorganization system: checks that prove structural and protocol
 //! invariants *without running a workload*.
 //!
-//! Three checkers, one per invariant family of the paper:
+//! The checkers, by invariant family:
 //!
 //! - [`fsck`] — tree fsck. Walks a page file (or a live buffer pool) and
 //!   verifies key ordering within and across leaves, side-pointer chain
@@ -25,19 +25,18 @@
 //!   (each WAL record boundary × each point in the careful-writing write
 //!   order, plus torn tails), and proves Forward Recovery (§5.1) drives
 //!   each one back to a committed, fsck-clean state.
-//! - [`srclint`] — concurrency source lint. Textual rules keeping the
-//!   hot paths analyzable by the interleaving explorer: justified
-//!   `Relaxed` orderings and no raw sync primitives bypassing the
-//!   `obr-sync` facade.
 //! - [`lockorder`] — lock-acquisition-order manifest checker. Diffs the
 //!   lock-order edges observed by the `obr-race` explorer against the
 //!   committed manifest `check/lockorder.toml` and proves the declared
 //!   graph acyclic.
-//! - [`protocol`] — interprocedural protocol checker. Builds per-function
-//!   fact summaries over a hand-rolled lexer ([`lexer`], [`facts`]) and a
+//! - [`protocol`] — the source checker. Lexes each workspace file once
+//!   ([`lexer`]) into per-function fact summaries ([`facts`]) joined by a
 //!   whole-workspace call graph ([`callgraph`]), then proves three rules
-//!   on all static paths: WAL-before-data (R1), latch discipline against
-//!   the vetted manifest (R2), and atomic publication pairing (R3).
+//!   on all static engine paths — WAL-before-data (R1), latch discipline
+//!   against the vetted manifest (R2), atomic publication pairing (R3) —
+//!   and two lexical ones over the whole workspace: every `Relaxed`
+//!   ordering justified, and no raw sync primitive bypassing the
+//!   `obr-sync` facade.
 //!
 //! All checkers report through [`Report`]; a clean report has no findings
 //! of any severity. The `obr-cli check` subcommand and the repository's CI
@@ -53,7 +52,6 @@ pub mod lockcheck;
 pub mod lockorder;
 pub mod protocol;
 pub mod report;
-pub mod srclint;
 pub mod wal_lint;
 
 pub use crashcheck::{run_crash_check, CrashCheckOptions, CrashCheckOutcome, CrashCheckStats};
@@ -65,9 +63,10 @@ pub use lockcheck::{check_acquisition_order, check_compat_matrix, check_lock_pro
 pub use lockorder::{
     check_lock_order, check_lock_order_file, load_manifest, parse_manifest, LockOrderManifest,
 };
-pub use protocol::{check_protocol, check_sources, scan_files};
+pub use protocol::{
+    check_protocol, check_sources, check_whitelist, scan_files, FACADE_EXEMPT, RELAXED_OK,
+};
 pub use report::{Finding, Report, Severity};
-pub use srclint::{check_whitelist, lint_sources, FACADE_EXEMPT, RELAXED_OK};
 pub use wal_lint::{lint_log, lint_records, lint_wal_dir, WalLintOptions};
 
 use obr_core::Database;

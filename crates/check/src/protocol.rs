@@ -1,7 +1,9 @@
-//! Interprocedural protocol checker: `obr-cli check --protocol`.
+//! The source checker: `obr-cli check --protocol`.
 //!
-//! Enforces three source-level rules over the whole workspace, using
-//! the facts/callgraph layers:
+//! One walker collects the workspace's `.rs` files, each file is lexed
+//! once into [`crate::facts::FileFacts`], and every rule below runs over
+//! those facts. Three rules are interprocedural, using the
+//! facts/callgraph layers:
 //!
 //! * **R1 WAL-before-data** (`wal-unlogged-path`): every call path from
 //!   an entry point to a page-mutation primitive must pass a function
@@ -33,14 +35,41 @@
 //!   exempt (the retry path re-reads). A site can be audited with
 //!   `// protocol: mixed-ordering <why>` on the line above.
 //!
+//! Three are lexical, and keep the hot paths analyzable by the
+//! interleaving explorer:
+//!
+//! * **`relaxed-unjustified`**: every `Ordering::Relaxed` site sits in a
+//!   file of [`RELAXED_OK`] (with a recorded reason) or carries a
+//!   `// protocol: relaxed <why>` note on its line or one of the five
+//!   above. The note does not exempt a site from R3; only
+//!   `mixed-ordering` does.
+//! * **`facade-bypass`**: locks and atomics come from the `obr-sync`
+//!   facade. A `std::sync` path reaching `atomic`, `Mutex`, `RwLock`,
+//!   `Condvar` or `Barrier`, or any `parking_lot` path, creates sync
+//!   operations the model scheduler cannot see.
+//! * **`whitelist-stale`**, **`whitelist-duplicate`**,
+//!   **`whitelist-no-reason`** ([`check_whitelist`]): every
+//!   [`RELAXED_OK`] entry names a scanned file, once, with a reason.
+//!
+//! Comments and string literals are separate tokens, so a pattern quoted
+//! in a message, a doc comment or a test fixture never trips a rule.
+//!
 //! ## Scan scope
 //!
-//! Engine crates only: `crates/{storage,wal,btree,lock,core,txn,baseline}`
-//! and the workload layer in `src/`. Infrastructure is excluded —
-//! `crates/{check,race,bench,sync,obs}`, `shims/`, `src/bin/`, plus
-//! `tests/`, `benches/`, `examples/` and `#[cfg(test)]` modules — so
-//! the checker reasons about the engine, not about its own scaffolding
-//! or model-build scenarios.
+//! The walker covers the workspace tree: `target/`, VCS directories and
+//! any nested directory whose `Cargo.toml` declares a `[workspace]` of
+//! its own (another project) are skipped. Within it each rule has a path
+//! scope:
+//!
+//! * `relaxed-unjustified`: every file.
+//! * `facade-bypass`: every file outside [`FACADE_EXEMPT`] and outside
+//!   `tests/`, `benches/` and `examples/` directories.
+//! * R1–R3: the engine crates only, `crates/{storage,wal,btree,lock,core,
+//!   txn,baseline,server}` and the workload layer in `src/`.
+//!   Infrastructure is excluded — `crates/{check,race,bench,sync,obs}`,
+//!   `shims/`, `src/bin/`, plus `tests/`, `benches/`, `examples/` and
+//!   `#[cfg(test)]` modules — so the checker reasons about the engine,
+//!   not about its own scaffolding or model-build scenarios.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -48,8 +77,8 @@ use std::io;
 use std::path::Path;
 
 use crate::callgraph::{FnId, Workspace};
-use crate::facts::{extract_file, AnnKind, Op, Seg};
-use crate::lockorder::load_manifest;
+use crate::facts::{extract_file, AnnKind, FileFacts, Op, Seg};
+use crate::lockorder::{load_manifest, LockOrderManifest};
 use crate::report::Report;
 
 /// Checker name used in findings.
@@ -62,13 +91,78 @@ const CHECKER: &str = "protocol";
 /// `pool.shard.frames`, the PR 3 rule) must never self-nest.
 const SELF_EDGE_OK: &[&str] = &["pool.frame.data"];
 
-/// Directory names excluded anywhere in the tree.
-const SKIP_DIRS: &[&str] = &[
-    "target", ".git", ".github", "tests", "benches", "examples", "shims", "bin",
+/// Files allowed to use `Ordering::Relaxed` without per-site
+/// `// protocol: relaxed` notes, with the audit reason recorded. Paths are
+/// relative to the workspace root, `/`-separated.
+pub const RELAXED_OK: &[(&str, &str)] = &[
+    (
+        "crates/storage/src/disk.rs",
+        "I/O statistics counters; read only by stats snapshots",
+    ),
+    (
+        "crates/lock/src/manager.rs",
+        "monotonic ticket allocation and test-harness stop flags",
+    ),
+    (
+        "crates/core/src/sidefile.rs",
+        "sequence allocation; the entries mutex is the ordering point",
+    ),
+    (
+        "crates/core/src/daemon.rs",
+        "daemon stop flag; shutdown is quiesced by joining the thread",
+    ),
+    (
+        "crates/baseline/src/tandem.rs",
+        "baseline stop flag and statistics counters",
+    ),
+    (
+        "crates/txn/src/workload.rs",
+        "throughput statistics and harness stop flag",
+    ),
+    (
+        "crates/obs/src/metrics.rs",
+        "metrics registry counters are relaxed by design (observability)",
+    ),
+    (
+        "crates/obs/src/trace.rs",
+        "trace ring sequence counter; observability only",
+    ),
+    (
+        "crates/bench/src/bin/concurrency.rs",
+        "benchmark harness statistics counters and stop flags",
+    ),
+    (
+        "src/workloads.rs",
+        "CLI workload-driver statistics counters",
+    ),
+    (
+        "tests/concurrency_stress.rs",
+        "stress-harness statistics counters and stop flags",
+    ),
 ];
 
-/// Path prefixes (relative, slash-normalized) excluded from the scan.
-const SKIP_PREFIXES: &[&str] = &[
+/// Path prefixes (workspace-relative, `/`-separated) exempt from the
+/// facade-bypass rule: the facade and shims themselves, observability
+/// (lock-free by design), checkers and harnesses that run outside the
+/// modeled scenarios, and test/bench/example code.
+pub const FACADE_EXEMPT: &[&str] = &[
+    "shims/",
+    "crates/sync/",
+    "crates/obs/",
+    "crates/check/",
+    "crates/race/",
+    "crates/bench/",
+    "src/",
+    "tests/",
+    "examples/",
+];
+
+/// Directories outside R1–R3's engine scope wherever they appear.
+const NON_ENGINE_DIRS: &[&str] = &["tests", "benches", "examples", "shims", "bin"];
+
+/// Path prefixes (relative, slash-normalized) outside R1–R3's engine
+/// scope.
+const NON_ENGINE_PREFIXES: &[&str] = &[
     "crates/check/",
     "crates/race/",
     "crates/bench/",
@@ -76,7 +170,9 @@ const SKIP_PREFIXES: &[&str] = &[
     "crates/obs/",
 ];
 
-/// Collect the engine source files under `root`.
+/// Collect the workspace's `.rs` files under `root` as `(path, source)`
+/// pairs sorted by path, paths relative and `/`-separated. Skips
+/// `target/`, VCS directories and nested workspaces.
 pub fn scan_files(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut out = Vec::new();
     walk(root, root, &mut out)?;
@@ -86,86 +182,176 @@ pub fn scan_files(root: &Path) -> io::Result<Vec<(String, String)>> {
 
 fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        let name = entry.file_name().to_string_lossy().into_owned();
+        let path = entry?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_str()) {
-                continue;
+            if !matches!(name, "target" | ".git" | ".github") && !declares_workspace(&path) {
+                walk(root, &path, out)?;
             }
-            let rel = rel_path(root, &path);
-            if SKIP_PREFIXES
-                .iter()
-                .any(|p| rel.starts_with(p) || format!("{rel}/").starts_with(p))
-            {
-                continue;
-            }
-            walk(root, &path, out)?;
         } else if name.ends_with(".rs") {
-            let rel = rel_path(root, &path);
-            if SKIP_PREFIXES.iter().any(|p| rel.starts_with(p)) {
-                continue;
-            }
-            let src = fs::read_to_string(&path)?;
-            out.push((rel, src));
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(&path)
+                .to_string_lossy()
+                .replace('\\', "/");
+            out.push((rel, fs::read_to_string(&path)?));
         }
     }
     Ok(())
 }
 
-fn rel_path(root: &Path, path: &Path) -> String {
-    path.strip_prefix(root)
-        .unwrap_or(path)
-        .to_string_lossy()
-        .replace('\\', "/")
+/// True when `dir/Cargo.toml` declares a `[workspace]` (or one of its
+/// `[workspace.*]` tables): the directory is the root of another project.
+fn declares_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|toml| {
+        toml.lines().map(str::trim).any(|line| {
+            line == "[workspace]" || line.starts_with("[workspace.") && line.ends_with(']')
+        })
+    })
 }
 
-/// Run the full protocol check rooted at `root` (the repo checkout).
-/// Reads `check/lockorder.toml` relative to `root` for R2.
+/// R1–R3 scope: engine sources, not infrastructure or test code.
+fn in_engine_scope(path: &str) -> bool {
+    let dirs = path.rsplit_once('/').map_or("", |(d, _)| d);
+    !dirs.split('/').any(|d| NON_ENGINE_DIRS.contains(&d))
+        && !NON_ENGINE_PREFIXES.iter().any(|p| path.starts_with(p))
+}
+
+/// Facade-rule scope. Integration tests, benches and examples may use
+/// real (un-modeled) primitives: they exercise true concurrency, not
+/// modeled schedules.
+fn in_facade_scope(path: &str) -> bool {
+    !FACADE_EXEMPT.iter().any(|p| path.starts_with(p))
+        && !["/tests/", "/benches/", "/examples/"]
+            .iter()
+            .any(|seg| path.contains(seg))
+}
+
+/// Record an error finding of this checker.
+fn error(report: &mut Report, code: &'static str, detail: String) {
+    report.error(CHECKER, code, None, None, detail);
+}
+
+/// Run the full check rooted at `root` (the repo checkout): every rule
+/// over [`scan_files`], R2 against `check/lockorder.toml`, and
+/// [`check_whitelist`] on [`RELAXED_OK`].
 pub fn check_protocol(root: &Path) -> io::Result<Report> {
     let files = scan_files(root)?;
+    let files: Vec<(&str, &str)> = files
+        .iter()
+        .map(|(p, s)| (p.as_str(), s.as_str()))
+        .collect();
     let manifest_path = root.join("check").join("lockorder.toml");
     let mut report = Report::new();
     let manifest = match load_manifest(&manifest_path) {
         Ok(m) => Some(m),
         Err(e) => {
-            report.error(
-                CHECKER,
+            error(
+                &mut report,
                 "manifest-unreadable",
-                None,
-                None,
                 format!("cannot load {}: {e}", manifest_path.display()),
             );
             None
         }
     };
-    let ws = Workspace::build(files.iter().map(|(p, s)| extract_file(p, s)).collect());
-    report.note(format!(
-        "protocol: scanned {} files, {} functions",
-        ws.files.len(),
-        ws.fns.len()
-    ));
-    check_r1(&ws, &mut report);
-    if let Some(m) = &manifest {
-        check_r2(&ws, m, &mut report);
-    }
-    check_r3(&ws, &mut report);
+    report.merge(check_sources(&files, manifest.as_ref()));
+    report.merge(check_whitelist(RELAXED_OK, &files));
     Ok(report)
 }
 
-/// Convenience for tests: run the checker over in-memory sources with
-/// an already-loaded manifest.
-pub fn check_sources(
-    files: &[(&str, &str)],
-    manifest: Option<&crate::lockorder::LockOrderManifest>,
-) -> Report {
-    let ws = Workspace::build(files.iter().map(|(p, s)| extract_file(p, s)).collect());
+/// Run every rule but the whitelist checks over in-memory `(path,
+/// source)` pairs, each within its path scope. R2 runs only with a
+/// manifest.
+pub fn check_sources(files: &[(&str, &str)], manifest: Option<&LockOrderManifest>) -> Report {
     let mut report = Report::new();
+    let facts: Vec<FileFacts> = files.iter().map(|(p, s)| extract_file(p, s)).collect();
+    check_source_rules(&facts, &mut report);
+    let ws = Workspace::build(
+        facts
+            .into_iter()
+            .filter(|f| in_engine_scope(&f.path))
+            .collect(),
+    );
+    report.note(format!(
+        "protocol: scanned {} files, {} in the engine scope with {} functions",
+        files.len(),
+        ws.files.len(),
+        ws.fns.len()
+    ));
     check_r1(&ws, &mut report);
     if let Some(m) = manifest {
         check_r2(&ws, m, &mut report);
     }
     check_r3(&ws, &mut report);
+    report
+}
+
+/// The lexical rules: `relaxed-unjustified` and `facade-bypass`.
+fn check_source_rules(facts: &[FileFacts], report: &mut Report) {
+    let mut n_sites = 0usize;
+    for f in facts {
+        n_sites += f.relaxed_sites.len();
+        if !RELAXED_OK.iter().any(|(p, _)| *p == f.path) {
+            for site in f.relaxed_sites.iter().filter(|s| !s.justified) {
+                error(
+                    report,
+                    "relaxed-unjustified",
+                    format!(
+                        "{}:{}: Relaxed ordering without a `// protocol: relaxed <why>` note \
+                         on its line or the five above, in a file not whitelisted",
+                        f.path, site.line
+                    ),
+                );
+            }
+        }
+        if in_facade_scope(&f.path) {
+            for line in &f.raw_sync_lines {
+                error(
+                    report,
+                    "facade-bypass",
+                    format!(
+                        "{}:{line}: raw sync primitive bypasses the obr-sync facade \
+                         (invisible to the model scheduler)",
+                        f.path
+                    ),
+                );
+            }
+        }
+    }
+    report.note(format!(
+        "lexical rules: {n_sites} Relaxed sites audited; {} whitelisted files",
+        RELAXED_OK.len()
+    ));
+}
+
+/// Check a Relaxed whitelist against the scanned `files`: each entry
+/// names a scanned file, appears once, and records an audit reason.
+pub fn check_whitelist(whitelist: &[(&str, &str)], files: &[(&str, &str)]) -> Report {
+    let mut report = Report::new();
+    let mut seen = BTreeSet::new();
+    for (path, reason) in whitelist {
+        if !seen.insert(*path) {
+            error(
+                &mut report,
+                "whitelist-duplicate",
+                format!("{path} listed twice"),
+            );
+        }
+        if reason.trim().is_empty() {
+            error(
+                &mut report,
+                "whitelist-no-reason",
+                format!("{path} has no audit reason"),
+            );
+        }
+        if !files.iter().any(|(p, _)| p == path) {
+            error(
+                &mut report,
+                "whitelist-stale",
+                format!("{path} whitelisted but absent from the tree"),
+            );
+        }
+    }
     report
 }
 
@@ -248,11 +434,9 @@ fn check_r1(ws: &Workspace, report: &mut Report) {
             }
         }
         let path: Vec<String> = chain.iter().map(|c| ws.fn_path(*c)).collect();
-        report.error(
-            CHECKER,
+        error(
+            report,
             "wal-unlogged-path",
-            None,
-            None,
             format!(
                 "{}:{} {}: page mutation reachable with no WAL append on the path: {} \
                  (annotate `// protocol: no-wal <why>` if audited)",
@@ -271,7 +455,7 @@ fn check_r1(ws: &Workspace, report: &mut Report) {
 }
 
 /// R2: latch discipline against the manifest.
-fn check_r2(ws: &Workspace, manifest: &crate::lockorder::LockOrderManifest, report: &mut Report) {
+fn check_r2(ws: &Workspace, manifest: &LockOrderManifest, report: &mut Report) {
     let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
     let mut unknown: BTreeSet<String> = BTreeSet::new();
     let mut n_edges = 0usize;
@@ -280,12 +464,7 @@ fn check_r2(ws: &Workspace, manifest: &crate::lockorder::LockOrderManifest, repo
             n_edges += 1;
             for c in [&e.held, &e.acquired] {
                 if !manifest.classes.contains_key(c.as_str()) && unknown.insert(c.clone()) {
-                    report.error(
-                        CHECKER,
-                        "latch-unknown-class",
-                        None,
-                        None,
-                        format!(
+                    error(report, "latch-unknown-class", format!(
                             "{}:{} {}: lock class \"{}\" is not declared in lockorder.toml [classes]",
                             ws.fn_file(id),
                             e.line,
@@ -304,11 +483,9 @@ fn check_r2(ws: &Workspace, manifest: &crate::lockorder::LockOrderManifest, repo
                 .unwrap_or_default();
             if e.held == e.acquired {
                 if !SELF_EDGE_OK.contains(&e.held.as_str()) {
-                    report.error(
-                        CHECKER,
+                    error(
+                        report,
                         "latch-self-edge",
-                        None,
-                        None,
                         format!(
                             "{}:{} {}: may hold \"{}\" while re-acquiring the same class{} \
                              (one-at-a-time classes must never self-nest)",
@@ -326,11 +503,9 @@ fn check_r2(ws: &Workspace, manifest: &crate::lockorder::LockOrderManifest, repo
                 .allowed
                 .contains(&(e.held.clone(), e.acquired.clone()))
             {
-                report.error(
-                    CHECKER,
+                error(
+                    report,
                     "latch-undeclared-edge",
-                    None,
-                    None,
                     format!(
                         "{}:{} {}: static order \"{}\" -> \"{}\"{} is not vetted in \
                          lockorder.toml may_hold_while_acquiring",
@@ -415,47 +590,28 @@ fn check_r3(ws: &Workspace, report: &mut Report) {
                 Some(t) => format!("{t}.{field}"),
                 None => continue, // not a known atomic field (locals, foreign)
             };
-            let fn_path = ws.fn_path(id);
-            let sites = by_key.entry(key).or_default();
-            let ords = &a.orderings;
-            match a.method.as_str() {
-                "load" => {
-                    if let Some(o) = ords.first() {
-                        sites.push((Role::Load, o.clone(), file.clone(), a.line, fn_path.clone()));
-                    }
-                }
-                "store" => {
-                    if let Some(o) = ords.first() {
-                        sites.push((
-                            Role::Store,
-                            o.clone(),
-                            file.clone(),
-                            a.line,
-                            fn_path.clone(),
-                        ));
-                    }
-                }
-                _ => {
-                    // RMWs (`swap`, `fetch_*`, `compare_exchange*`,
-                    // `fetch_update`) are stores for pairing purposes.
-                    // Their read half always observes the latest value
-                    // in the field's modification order regardless of
-                    // ordering, so it is *not* a publication consume —
-                    // a seqlock writer's `fetch_add(1, Release)` must
-                    // not be flagged as a Relaxed-family load. The
-                    // first ordering argument is the success/set order
-                    // on every RMW method; failure/fetch orders are
-                    // exempt.
-                    if let Some(o) = ords.first() {
-                        sites.push((
-                            Role::Store,
-                            o.clone(),
-                            file.clone(),
-                            a.line,
-                            fn_path.clone(),
-                        ));
-                    }
-                }
+            // RMWs (`swap`, `fetch_*`, `compare_exchange*`,
+            // `fetch_update`) are stores for pairing purposes. Their read
+            // half always observes the latest value in the field's
+            // modification order regardless of ordering, so it is *not* a
+            // publication consume — a seqlock writer's
+            // `fetch_add(1, Release)` must not be flagged as a
+            // Relaxed-family load. The first ordering argument is the
+            // success/set order on every method; failure/fetch orders are
+            // exempt.
+            let role = if a.method == "load" {
+                Role::Load
+            } else {
+                Role::Store
+            };
+            if let Some(o) = a.orderings.first() {
+                by_key.entry(key).or_default().push((
+                    role,
+                    o.clone(),
+                    file.clone(),
+                    a.line,
+                    ws.fn_path(id),
+                ));
             }
         }
     }
@@ -483,12 +639,7 @@ fn check_r3(ws: &Workspace, report: &mut Report) {
         if !rel_stores.is_empty() && !weak_loads.is_empty() {
             let s = &rel_stores[0];
             for l in &weak_loads {
-                report.error(
-                    CHECKER,
-                    "atomic-relaxed-consume",
-                    None,
-                    None,
-                    format!(
+                error(report, "atomic-relaxed-consume", format!(
                         "{key}: {} load at {}:{} ({}) consumes a publication released at {}:{} ({}) — \
                          upgrade to Acquire or audit with `// protocol: mixed-ordering <why>`",
                         l.1, l.2, l.3, l.4, s.2, s.3, s.4
@@ -498,11 +649,9 @@ fn check_r3(ws: &Workspace, report: &mut Report) {
         }
         if !rel_stores.is_empty() && !weak_stores.is_empty() {
             let s = &weak_stores[0];
-            report.error(
-                CHECKER,
+            error(
+                report,
                 "atomic-mixed-publication",
-                None,
-                None,
                 format!(
                     "{key}: mixes Release-family and {} stores (e.g. {}:{} in {}) — \
                      one publication protocol per field",
@@ -512,11 +661,9 @@ fn check_r3(ws: &Workspace, report: &mut Report) {
         }
         if rel_stores.is_empty() && !weak_stores.is_empty() && !acq_loads.is_empty() {
             let l = &acq_loads[0];
-            report.error(
-                CHECKER,
+            error(
+                report,
                 "atomic-relaxed-publication",
-                None,
-                None,
                 format!(
                     "{key}: Acquire load at {}:{} ({}) but every store is Relaxed-family — \
                      nothing is published; upgrade the store or relax the load",
@@ -553,6 +700,14 @@ mod tests {
 
     fn manifest(text: &str) -> crate::lockorder::LockOrderManifest {
         parse_manifest(text).expect("fixture manifest parses")
+    }
+
+    fn codes<'r>(r: &'r Report, code: &str) -> Vec<&'r str> {
+        r.findings
+            .iter()
+            .filter(|f| f.code == code)
+            .map(|f| f.detail.as_str())
+            .collect()
     }
 
     const TWO_CLASS_MANIFEST: &str = r#"
@@ -901,6 +1056,159 @@ impl P {{
                 .iter()
                 .any(|f| f.code == "atomic-relaxed-publication"),
             "Acquire load with only Relaxed stores publishes nothing: {r}"
+        );
+    }
+
+    #[test]
+    fn r3_relaxed_note_does_not_clear_a_pairing_finding() {
+        let src = format!(
+            "{R3_STRUCT}
+impl P {{
+    fn publish(&self) {{ self.ready.store(true, Ordering::Release); }}
+    fn consume(&self) -> bool {{
+        // protocol: relaxed fixture note for the lexical rule only
+        self.ready.load(Ordering::Relaxed)
+    }}
+}}
+"
+        );
+        let r = check_sources(&[("fix.rs", src.as_str())], None);
+        // Only mixed-ordering audits an R3 site; the note justifies the
+        // Relaxed site itself.
+        assert_eq!(codes(&r, "atomic-relaxed-consume").len(), 1, "{r}");
+        assert!(codes(&r, "relaxed-unjustified").is_empty(), "{r}");
+    }
+
+    // ---- Lexical rules ----
+
+    #[test]
+    fn unjustified_relaxed_is_flagged_and_a_note_clears_it() {
+        let bad = "fn f() { x.load(Ordering::Relaxed); }\n";
+        let good = "// protocol: relaxed counter is observability-only\n\
+                    fn f() { x.load(Ordering::Relaxed); }\n";
+        let far = "// protocol: relaxed too far above\n\n\n\n\n\n\
+                   fn f() { x.load(Ordering::Relaxed); }\n";
+        let r = check_sources(
+            &[
+                ("crates/core/src/a.rs", bad),
+                ("crates/core/src/b.rs", good),
+                ("crates/core/src/c.rs", far),
+                ("crates/core/src/sidefile.rs", bad),
+            ],
+            None,
+        );
+        let flagged = codes(&r, "relaxed-unjustified");
+        assert_eq!(flagged.len(), 2, "{r}");
+        assert!(flagged[0].starts_with("crates/core/src/a.rs:1:"), "{r}");
+        assert!(flagged[1].starts_with("crates/core/src/c.rs:7:"), "{r}");
+    }
+
+    #[test]
+    fn relaxed_inside_string_or_comment_is_invisible() {
+        let fixture = concat!(
+            "// a doc mentioning Ordering::Relaxed is not a use site\n",
+            "fn f() -> &'static str {\n",
+            "    \"self.real.load(Ordering::Relaxed)\"\n",
+            "}\n",
+        );
+        let r = check_sources(&[("crates/core/src/a.rs", fixture)], None);
+        assert!(
+            codes(&r, "relaxed-unjustified").is_empty(),
+            "string/comment text must not trip the rule: {r}"
+        );
+    }
+
+    #[test]
+    fn facade_bypass_flagged_outside_exempt_paths() {
+        let import = "use parking_lot::Mutex;\n";
+        let r = check_sources(
+            &[
+                ("crates/core/src/a.rs", import),
+                ("crates/core/tests/t.rs", import),
+                ("shims/x/src/lib.rs", import),
+                ("tests/t.rs", import),
+            ],
+            None,
+        );
+        let flagged = codes(&r, "facade-bypass");
+        assert_eq!(flagged.len(), 1, "{r}");
+        assert!(flagged[0].starts_with("crates/core/src/a.rs:1:"), "{r}");
+    }
+
+    #[test]
+    fn std_sync_import_in_string_is_invisible() {
+        let fixture = "fn f() -> &'static str { \"use std::sync::Mutex;\" }\n";
+        let r = check_sources(&[("crates/core/src/a.rs", fixture)], None);
+        assert!(
+            codes(&r, "facade-bypass").is_empty(),
+            "quoted import must not trip the facade rule: {r}"
+        );
+    }
+
+    #[test]
+    fn nested_workspace_is_skipped_by_every_rule() {
+        let root = std::env::temp_dir().join(format!("obr-protocol-nested-{}", std::process::id()));
+        // A raw import, an unjustified Relaxed site and an unknown lock
+        // class: each would be flagged inside this workspace.
+        let fixture = "use parking_lot::Mutex;\n\
+                       struct S { x: Mutex<u32> }\n\
+                       impl S {\n\
+                           fn new() -> S { S { x: Mutex::named(0, \"not.in.manifest\") } }\n\
+                           fn twice(&self) { let g = self.x.lock(); let h = self.x.lock(); }\n\
+                           fn f(&self) { y.load(Ordering::Relaxed); }\n\
+                       }\n";
+        for (rel, content) in [
+            ("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n"),
+            ("crates/core/Cargo.toml", "[package]\nname = \"core\"\n"),
+            ("crates/core/src/a.rs", fixture),
+            (
+                "bench/Cargo.toml",
+                "[package]\nname = \"bench\"\n\n[workspace]\n",
+            ),
+            ("bench/src/main.rs", fixture),
+        ] {
+            let p = root.join(rel);
+            std::fs::create_dir_all(p.parent().unwrap()).unwrap();
+            std::fs::write(p, content).unwrap();
+        }
+        let files = scan_files(&root).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+        let paths: Vec<&str> = files.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(paths, vec!["crates/core/src/a.rs"]);
+        let refs: Vec<(&str, &str)> = files
+            .iter()
+            .map(|(p, s)| (p.as_str(), s.as_str()))
+            .collect();
+        let m = manifest(TWO_CLASS_MANIFEST);
+        let r = check_sources(&refs, Some(&m));
+        for code in [
+            "facade-bypass",
+            "relaxed-unjustified",
+            "latch-unknown-class",
+        ] {
+            assert_eq!(codes(&r, code).len(), 1, "{code} once, in crates/core: {r}");
+        }
+    }
+
+    #[test]
+    fn whitelist_entries_are_unique_reasoned_and_present() {
+        let files = [("crates/core/src/a.rs", ""), ("crates/core/src/b.rs", "")];
+        let clean = check_whitelist(&[("crates/core/src/a.rs", "counters")], &files);
+        assert!(clean.is_clean(), "{clean}");
+        let r = check_whitelist(
+            &[
+                ("crates/core/src/a.rs", "counters"),
+                ("crates/core/src/a.rs", "again"),
+                ("crates/core/src/b.rs", " "),
+                ("crates/core/src/gone.rs", "stop flag"),
+            ],
+            &files,
+        );
+        assert_eq!(codes(&r, "whitelist-duplicate").len(), 1, "{r}");
+        assert_eq!(codes(&r, "whitelist-no-reason").len(), 1, "{r}");
+        assert_eq!(
+            codes(&r, "whitelist-stale"),
+            vec!["crates/core/src/gone.rs whitelisted but absent from the tree"]
         );
     }
 }

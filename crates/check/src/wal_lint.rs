@@ -252,7 +252,7 @@ impl<'a> Linter<'a> {
                 self.reorg_lsns.insert(lsn);
                 self.chain(lsn, *unit, *prev_lsn, "SIDEPTR");
             }
-            LogRecord::ReorgEnd { unit, .. } => {
+            LogRecord::ReorgEnd { unit, largest_key } => {
                 self.reorg_lsns.insert(lsn);
                 let inherited = std::mem::take(&mut self.inherit_unit);
                 match self.open.take() {
@@ -275,10 +275,14 @@ impl<'a> Linter<'a> {
                         );
                     }
                     Some(open) => {
-                        if open.work == 0 {
-                            // Recovery legitimately closes a unit that had
-                            // logged no work after a crash right past BEGIN,
-                            // so an empty unit is suspicious but not fatal.
+                        // A unit abandoned before its first MOVE ENDs with
+                        // largest key 0, which cannot move LK: a no-op
+                        // close. An empty unit that advances LK did no
+                        // work but claims progress. Recovery legitimately
+                        // closes a unit that had logged no work after a
+                        // crash right past BEGIN, so it is suspicious but
+                        // not fatal.
+                        if open.work == 0 && *largest_key != 0 {
                             self.report.warning(
                                 CHECKER,
                                 "empty-unit",
@@ -286,7 +290,8 @@ impl<'a> Linter<'a> {
                                 Some(lsn),
                                 format!(
                                     "unit {} (begun at LSN {}) ends with no \
-                                     MOVE/MODIFY/SWAP/SIDEPTR records",
+                                     MOVE/MODIFY/SWAP/SIDEPTR records but \
+                                     largest key {largest_key}",
                                     open.unit.0, open.begin_lsn
                                 ),
                             );
@@ -658,6 +663,23 @@ mod tests {
             "expected an empty-unit warning: {r}"
         );
         assert_eq!(r.error_count(), 0, "{r}");
+    }
+
+    #[test]
+    fn abandoned_empty_unit_is_clean() {
+        // An abandoned unit that never moved a record ENDs with largest
+        // key 0: nothing happened, and LK cannot move.
+        let r = lint_records(
+            &seq(vec![
+                begin(1),
+                LogRecord::ReorgEnd {
+                    unit: UnitId(1),
+                    largest_key: 0,
+                },
+            ]),
+            &WalLintOptions::default(),
+        );
+        assert!(r.is_clean(), "{r}");
     }
 
     #[test]

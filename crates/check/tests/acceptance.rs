@@ -345,7 +345,8 @@ fn failed_first_write_then_writes_lint_clean() {
 /// Drives a read fault into the first reorganization unit (the tracer
 /// writes events synchronously): at its `unit_begin` the pool is emptied,
 /// so the unit reads every page it touches from the disk, and at its first
-/// `arm_at` event (a MOVE, applied) the next read is armed to fail.
+/// `arm_at` event (`unit_begin` itself, or a MOVE or swap, applied) the
+/// next read is armed to fail.
 struct FaultInFirstUnit {
     disk: Arc<obr_storage::JournalDisk>,
     pool: Arc<obr_storage::BufferPool>,
@@ -361,7 +362,8 @@ impl std::io::Write for FaultInFirstUnit {
             // The unit holds its locks but no page latch here.
             self.begun = true;
             self.pool.evict_all().expect("evict");
-        } else if self.begun && !self.armed && line.contains(self.arm_at) {
+        }
+        if self.begun && !self.armed && line.contains(self.arm_at) {
             self.armed = true;
             self.disk.fail_after_reads(0);
         }
@@ -389,17 +391,17 @@ fn faultable_db() -> (Arc<obr_storage::JournalDisk>, Arc<Database>) {
     (disk, db)
 }
 
-/// Run `pass` with a read fault injected after the first MOVE of its first
-/// unit (`arm_at` names that MOVE's trace event): the unit is undone and
-/// ENDed, not left open, so the database checks clean (no
-/// `unit-open-at-eof` in the WAL lint) and keeps every record; a second
-/// run of the pass then completes.
+/// Run `pass` with a read fault armed at `arm_at` in its first unit: the
+/// unit is undone and ENDed, not left open, so the database checks clean
+/// (no `unit-open-at-eof` or `empty-unit` in the WAL lint) and keeps every
+/// record; a second run of the pass then completes. Returns the stats of
+/// the failed run.
 fn fault_inside_a_unit_closes_it(
     disk: &Arc<obr_storage::JournalDisk>,
     db: &Arc<Database>,
     arm_at: &'static str,
     pass: fn(&Reorganizer) -> obr_core::CoreResult<()>,
-) {
+) -> obr_core::ReorgStats {
     let expected = db.tree().collect_all().unwrap();
     db.tracer().attach_writer(Box::new(FaultInFirstUnit {
         disk: Arc::clone(disk),
@@ -414,7 +416,6 @@ fn fault_inside_a_unit_closes_it(
     assert!(err.to_string().contains("injected read fault"), "{err}");
     let st = reorg.stats();
     assert_eq!(st.units_undone, 1, "the failed unit was undone: {st:?}");
-    assert!(st.records_moved > 0, "the fault came after a MOVE: {st:?}");
     let report = obr_check::check_database(db);
     assert!(report.is_clean(), "{report}");
     assert_eq!(db.tree().collect_all().unwrap(), expected);
@@ -422,12 +423,29 @@ fn fault_inside_a_unit_closes_it(
     assert_eq!(db.tree().collect_all().unwrap(), expected);
     let report = obr_check::check_database(db);
     assert!(report.is_clean(), "{report}");
+    st
 }
+
+const UNIT_BEGIN: &str = "\"event\":\"unit_begin\"";
 
 #[test]
 fn read_error_inside_a_compaction_unit_closes_the_unit() {
     let (disk, db) = faultable_db();
-    fault_inside_a_unit_closes_it(&disk, &db, "\"event\":\"unit_move\"", |r| r.pass1_compact());
+    let st =
+        fault_inside_a_unit_closes_it(&disk, &db, "\"event\":\"unit_move\"", |r| r.pass1_compact());
+    assert!(st.records_moved > 0, "the fault came after a MOVE: {st:?}");
+}
+
+/// A unit that fails before its first MOVE logs BEGIN then END and
+/// nothing between; that no-op close checks clean.
+#[test]
+fn read_error_right_after_begin_closes_the_empty_unit() {
+    let (disk, db) = faultable_db();
+    let st = fault_inside_a_unit_closes_it(&disk, &db, UNIT_BEGIN, |r| r.pass1_compact());
+    assert_eq!(
+        st.records_moved, 0,
+        "the fault came before any MOVE: {st:?}"
+    );
 }
 
 #[test]
@@ -436,7 +454,61 @@ fn read_error_inside_a_pass2_move_closes_the_unit() {
     Reorganizer::new(Arc::clone(&db), ReorgConfig::default())
         .pass1_compact()
         .unwrap();
-    fault_inside_a_unit_closes_it(&disk, &db, "\"event\":\"pass2_move\"", |r| {
+    let st = fault_inside_a_unit_closes_it(&disk, &db, "\"event\":\"pass2_move\"", |r| {
         r.pass2_swap_move()
     });
+    assert!(st.records_moved > 0, "the fault came after a MOVE: {st:?}");
+}
+
+/// A tree whose pass-1 units were placed at random free pages, so its
+/// first pass-2 unit is a swap.
+fn swap_first_db() -> (Arc<obr_storage::JournalDisk>, Arc<Database>) {
+    let (disk, db) = faultable_db();
+    let cfg = ReorgConfig {
+        placement: obr_core::PlacementPolicy::Random(42),
+        ..ReorgConfig::default()
+    };
+    Reorganizer::new(Arc::clone(&db), cfg)
+        .pass1_compact()
+        .unwrap();
+    (disk, db)
+}
+
+/// A swap unit whose first page read fails has exchanged nothing: it is
+/// closed with no work between BEGIN and END.
+#[test]
+fn read_error_before_a_pass2_swap_closes_the_unit() {
+    use obr_wal::{LogRecord, ReorgKind};
+    let (disk, db) = swap_first_db();
+    let from = db.log().next_lsn();
+    fault_inside_a_unit_closes_it(&disk, &db, UNIT_BEGIN, |r| r.pass2_swap_move());
+    let records = db.log().records_from(from).unwrap();
+    assert!(
+        matches!(
+            records.as_slice(),
+            [
+                (
+                    _,
+                    LogRecord::ReorgBegin {
+                        kind: ReorgKind::Swap,
+                        ..
+                    }
+                ),
+                (_, LogRecord::ReorgEnd { largest_key: 0, .. }),
+                ..
+            ]
+        ),
+        "the failed unit was a swap, closed at once: {records:?}"
+    );
+}
+
+/// A swap unit whose parent read fails after the exchange undoes the swap
+/// by applying it again, then ENDs.
+#[test]
+fn read_error_after_a_pass2_swap_closes_the_unit() {
+    let (disk, db) = swap_first_db();
+    let st = fault_inside_a_unit_closes_it(&disk, &db, "\"event\":\"pass2_swap\"", |r| {
+        r.pass2_swap_move()
+    });
+    assert_eq!(st.swaps, 0, "the swap was undone: {st:?}");
 }

@@ -111,19 +111,19 @@ impl AdmissionGate {
 
     /// Live sessions right now.
     pub fn sessions(&self) -> usize {
-        // relaxed: monotonic-ish observability read; admission itself uses
+        // protocol: relaxed monotonic-ish observability read; admission itself uses
         // the CAS loop below, never this value.
         self.inner.sessions.load(Ordering::Relaxed)
     }
 
     /// In-flight requests right now.
     pub fn inflight(&self) -> usize {
-        // relaxed: observability read only.
+        // protocol: relaxed observability read only.
         self.inner.inflight.load(Ordering::Relaxed)
     }
 
     fn try_take(slot: &AtomicUsize, limit: usize) -> bool {
-        // relaxed: the counter guards capacity only — no data is published
+        // protocol: relaxed the counter guards capacity only — no data is published
         // through it, so the CAS needs atomicity, not ordering.
         slot.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
             (n < limit).then_some(n + 1)
@@ -165,7 +165,7 @@ pub struct SessionPermit {
 
 impl Drop for SessionPermit {
     fn drop(&mut self) {
-        // relaxed: capacity release; the next admission CAS observes it.
+        // protocol: relaxed capacity release; the next admission CAS observes it.
         self.gate.inner.sessions.fetch_sub(1, Ordering::Relaxed);
         self.gate.inner.metrics.sessions.dec();
     }
@@ -179,7 +179,7 @@ pub struct RequestPermit {
 
 impl Drop for RequestPermit {
     fn drop(&mut self) {
-        // relaxed: capacity release; the next admission CAS observes it.
+        // protocol: relaxed capacity release; the next admission CAS observes it.
         self.gate.inner.inflight.fetch_sub(1, Ordering::Relaxed);
         self.gate.inner.metrics.inflight.dec();
     }
@@ -221,7 +221,7 @@ mod tests {
                         match gate.start_request() {
                             Ok(_p) => {
                                 let now = gate.inflight();
-                                // relaxed: test-only max tracking.
+                                // protocol: relaxed test-only max tracking.
                                 peak.fetch_max(now, Ordering::Relaxed);
                             }
                             Err(Busy::Requests) => {}
@@ -231,7 +231,7 @@ mod tests {
                 });
             }
         });
-        // relaxed: test-only read after joins.
+        // protocol: relaxed test-only read after joins.
         assert!(peak.load(Ordering::Relaxed) <= 3);
         assert_eq!(gate.inflight(), 0);
     }

@@ -317,7 +317,7 @@ impl Database {
     /// registered: a transaction that never writes never appears in the
     /// log, in a checkpoint's active list or in the low-water mark.
     pub fn new_txn_id(&self) -> TxnId {
-        // relaxed: a unique-id counter; it publishes nothing.
+        // protocol: relaxed a unique-id counter; it publishes nothing.
         TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed))
     }
 
@@ -355,6 +355,7 @@ impl Database {
 
     /// A fresh lock-owner id (readers, the reorganizer, gate tokens).
     pub fn new_owner(&self) -> OwnerId {
+        // protocol: relaxed a unique-id counter; it publishes nothing.
         OwnerId(self.next_owner.fetch_add(1, Ordering::Relaxed))
     }
 

@@ -58,6 +58,7 @@ impl Pass3Observer {
 
     /// Number of structure modifications that passed through the gate.
     pub fn gates_entered(&self) -> u64 {
+        // protocol: relaxed an observability count.
         self.gates.load(Ordering::Relaxed)
     }
 }
@@ -74,6 +75,7 @@ impl SmoObserver for Pass3Observer {
         // anchor; by then the reorganization bit is off and Get_Current()
         // reports nothing behind the frontier, so no side entry is written.
         let owner = self.db.new_owner();
+        // protocol: relaxed an observability count.
         self.gates.fetch_add(1, Ordering::Relaxed);
         match self
             .db

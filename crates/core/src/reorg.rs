@@ -316,6 +316,7 @@ impl Reorganizer {
     }
 
     fn next_unit_id(&self) -> UnitId {
+        // protocol: relaxed unit ids need uniqueness only.
         UnitId(self.next_unit.fetch_add(1, Ordering::Relaxed))
     }
 
@@ -1568,14 +1569,16 @@ impl Reorganizer {
     /// Exchange the contents of `a` and `b` under the SMO guard, logging
     /// one full page image, remapping self-referencing side pointers, and
     /// patching the external neighbours. Self-inverse, which is what makes
-    /// the §5.2 undo of a swap trivial.
+    /// the §5.2 undo of a swap trivial. Every page is pinned before any
+    /// changes, so an error leaves the swap unapplied. Returns the last key
+    /// now on `a`.
     fn apply_swap(
         &self,
         unit: UnitId,
         a: PageId,
         b: PageId,
         neighbours: [PageId; 4],
-    ) -> CoreResult<()> {
+    ) -> CoreResult<u64> {
         let db = &self.db;
         let tree = db.tree();
         let _g = tree.smo_guard();
@@ -1589,9 +1592,17 @@ impl Reorganizer {
                 p
             }
         };
-        {
-            let ag = pool.fetch(a)?;
-            let bg = pool.fetch(b)?;
+        let ag = pool.fetch(a)?;
+        let bg = pool.fetch(b)?;
+        // External neighbours, each once even when it neighbours both
+        // swapped pages.
+        let mut external = Vec::with_capacity(4);
+        for n in neighbours {
+            if n.is_valid() && n != a && n != b && !external.iter().any(|(p, _)| *p == n) {
+                external.push((n, pool.fetch(n)?));
+            }
+        }
+        let last_key = {
             let mut apage = ag.write();
             let mut bpage = bg.write();
             let image_a_old = image_of(&apage);
@@ -1617,16 +1628,10 @@ impl Reorganizer {
             // Careful writing: the unlogged side (b's old image, now in a)
             // must not be overwritten on disk before `a` is durable.
             pool.add_write_dependency(b, a);
-        }
-        // External neighbours now point at swapped positions. Each is
-        // visited once, even when it neighbours both swapped pages.
-        let mut seen: Vec<PageId> = Vec::with_capacity(4);
-        for n in neighbours {
-            if !n.is_valid() || n == a || n == b || seen.contains(&n) {
-                continue;
-            }
-            seen.push(n);
-            let g = pool.fetch(n)?;
+            LeafRef::new(&apage).last_key().unwrap_or(0)
+        };
+        // External neighbours now point at swapped positions.
+        for (n, g) in external {
             let mut page = g.write();
             let old = (page.left_sibling(), page.right_sibling());
             let new = (remap(old.0), remap(old.1));
@@ -1647,7 +1652,26 @@ impl Reorganizer {
                 page.set_lsn(lsn);
             }
         }
-        Ok(())
+        Ok(last_key)
+    }
+
+    /// §5.2 for a swap unit that failed after its contents were exchanged:
+    /// the swap is self-inverse, so apply it again (with fresh log records)
+    /// and END the unit without advancing LK. As with
+    /// [`Self::abandon_unit`], an injected crash or a failed undo leaves
+    /// the unit open for Forward Recovery. Returns `err`.
+    fn abandon_swap(&self, unit: UnitId, a: PageId, b: PageId, err: CoreError) -> CoreError {
+        if matches!(err, CoreError::InjectedCrash(_)) {
+            return err;
+        }
+        let undone = self.chain_neighbours(a, a).and_then(|(a_left, a_right)| {
+            let (b_left, b_right) = self.chain_neighbours(b, b)?;
+            self.apply_swap(unit, a, b, [a_left, a_right, b_left, b_right])
+        });
+        if undone.is_ok() {
+            self.close_undone_unit(unit);
+        }
+        err
     }
 
     /// Pass-2 swap: exchange the contents of two leaves, logging one full
@@ -1689,7 +1713,11 @@ impl Reorganizer {
             u64::from(b.0),
         );
         self.check_fail(FailSite::AfterUnitBegin)?;
-        self.apply_swap(unit, a, b, [a_left, a_right, b_left, b_right])?;
+        let largest_key = match self.apply_swap(unit, a, b, [a_left, a_right, b_left, b_right]) {
+            Ok(k) => k,
+            // Nothing was exchanged: there is nothing to undo.
+            Err(e) => return Err(self.abandon_unit(unit, e, &[], &[])),
+        };
         db.tracer().emit(
             TraceKind::Pass2Swap,
             unit.0,
@@ -1713,27 +1741,26 @@ impl Reorganizer {
             }
         }
         if let Some(e) = upgrade_err {
-            // §5.2: deadlock after the contents were exchanged. The swap is
-            // self-inverse: apply it again (with fresh log records) to undo,
-            // then abandon the unit without advancing LK.
-            let (na_l, na_r) = self.chain_neighbours(a, a)?;
-            let (nb_l, nb_r) = self.chain_neighbours(b, b)?;
-            self.apply_swap(unit, a, b, [na_l, na_r, nb_l, nb_r])?;
-            db.log().append(&LogRecord::ReorgEnd {
-                unit,
-                largest_key: 0,
-            });
-            db.reorg_table().abandon_unit();
-            self.stats.lock().units_undone += 1;
-            db.core_metrics().units_undone.inc();
-            db.tracer().emit(TraceKind::UnitUndo, unit.0, 2, 0, 0, 0);
-            return Err(e.into());
+            // §5.2: deadlock after the contents were exchanged.
+            return Err(self.abandon_swap(unit, a, b, e.into()));
         }
         {
-            let _g = tree.smo_guard();
+            let smo = tree.smo_guard();
             let pool = db.pool();
-            for &base in &bases {
-                let bg = pool.fetch(base)?;
+            // Pin both parents before changing either: a failed fetch
+            // leaves only the exchange to undo.
+            let pinned: CoreResult<Vec<_>> = bases
+                .iter()
+                .map(|&base| pool.fetch(base).map_err(CoreError::from))
+                .collect();
+            let guards = match pinned {
+                Ok(g) => g,
+                Err(e) => {
+                    drop(smo); // the undo takes the SMO guard itself
+                    return Err(self.abandon_swap(unit, a, b, e));
+                }
+            };
+            for (&base, bg) in bases.iter().zip(&guards) {
                 let mut bpage = bg.write();
                 let entries = NodeRef::new(&bpage).entries();
                 let mut old_entries = Vec::new();
@@ -1770,13 +1797,10 @@ impl Reorganizer {
         }
         self.check_fail(FailSite::BeforeEnd)?;
         // Make the logged side durable so the careful-writing chain is
-        // short-lived, then END.
-        db.pool().flush_page(a)?;
-        let largest_key = {
-            let g = db.pool().fetch(a)?;
-            let page = g.read();
-            LeafRef::new(&page).last_key().unwrap_or(0)
-        };
+        // short-lived, then END. As for a move, a failed flush still ENDs
+        // the unit: the swap is complete, and the write dependency keeps
+        // `b` from reaching disk before `a`.
+        let flushed = db.pool().flush_page(a);
         #[cfg(debug_assertions)]
         self.debug_assert_unit_outcome(&bases, &[a, b]);
         db.log().append(&LogRecord::ReorgEnd { unit, largest_key });
@@ -1798,6 +1822,7 @@ impl Reorganizer {
             largest_key,
             0,
         );
+        flushed?;
         Ok(())
     }
 }

@@ -137,7 +137,7 @@ static FILE_SCENARIO_RUNS: AtomicU64 = AtomicU64::new(0);
 /// before the write and some schedule catches it — that is the explorer's
 /// teeth test.
 fn wal_watermark_file() {
-    // relaxed: run-local file-name uniqueness counter; deliberately a raw
+    // protocol: relaxed run-local file-name uniqueness counter; deliberately a raw
     // std atomic so it is invisible to the model scheduler (it must not
     // add scheduling decisions or vary between schedules).
     let n = FILE_SCENARIO_RUNS.fetch_add(1, StdOrdering::Relaxed);
@@ -185,7 +185,7 @@ static TRUNC_SCENARIO_RUNS: AtomicU64 = AtomicU64::new(0);
 /// surviving segment catalog stays contiguous — a crash mid-recycle must
 /// never be able to leave a gap.
 fn wal_truncate_vs_tail() {
-    // relaxed: run-local file-name uniqueness counter; deliberately a raw
+    // protocol: relaxed run-local file-name uniqueness counter; deliberately a raw
     // std atomic so it is invisible to the model scheduler (it must not
     // add scheduling decisions or vary between schedules).
     let n = TRUNC_SCENARIO_RUNS.fetch_add(1, StdOrdering::Relaxed);

@@ -154,7 +154,7 @@ impl Server {
     }
 
     fn stop_threads(&mut self) {
-        // relaxed: the flag is a pure go/no-go signal polled by every
+        // protocol: relaxed the flag is a pure go/no-go signal polled by every
         // thread; no data is published through it.
         self.shared.stop.store(true, Ordering::Relaxed);
         self.shared.db.tracer().emit(
@@ -194,14 +194,14 @@ fn accept_loop(
         let stream = match listener.accept() {
             Ok((s, _)) => s,
             Err(_) => {
-                // relaxed: go/no-go flag (see stop_threads).
+                // protocol: relaxed go/no-go flag (see stop_threads).
                 if shared.stop.load(Ordering::Relaxed) {
                     return;
                 }
                 continue;
             }
         };
-        // relaxed: go/no-go flag.
+        // protocol: relaxed go/no-go flag.
         if shared.stop.load(Ordering::Relaxed) {
             return; // the shutdown poke, or a late client — either way, done
         }
@@ -238,7 +238,7 @@ fn read_frame_draining(stream: &mut TcpStream, stop: &AtomicBool) -> ProtoResult
             Ok(0) => return Err(ProtoError::Truncated("frame length")),
             Ok(n) => got += n,
             Err(e) if is_timeout(&e) => {
-                // relaxed: go/no-go flag.
+                // protocol: relaxed go/no-go flag.
                 if got == 0 && stop.load(Ordering::Relaxed) {
                     return Ok(None);
                 }
@@ -335,7 +335,7 @@ fn serve_connection(shared: Arc<Shared>, mut stream: TcpStream) {
             return;
         }
     }
-    // relaxed: go/no-go flag.
+    // protocol: relaxed go/no-go flag.
     if shared.stop.load(Ordering::Relaxed) {
         let _ = send(
             &mut stream,
@@ -392,7 +392,7 @@ fn serve_connection(shared: Arc<Shared>, mut stream: TcpStream) {
                 break;
             }
         };
-        // relaxed: go/no-go flag.
+        // protocol: relaxed go/no-go flag.
         let draining = shared.stop.load(Ordering::Relaxed);
         if draining && !matches!(req, Request::Commit | Request::Abort | Request::Bye) {
             let _ = send(

@@ -31,7 +31,7 @@ mod tempdir {
 
     impl TempDir {
         pub fn new(tag: &str) -> TempDir {
-            // relaxed: a unique-name counter; no ordering needed.
+            // protocol: relaxed a unique-name counter; no ordering needed.
             let n = NEXT.fetch_add(1, Ordering::Relaxed);
             let dir =
                 std::env::temp_dir().join(format!("obr-loopback-{tag}-{}-{n}", std::process::id()));

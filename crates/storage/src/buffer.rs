@@ -282,7 +282,7 @@ impl BufferPool {
             .map(|(i, s)| ShardStats {
                 shard: i,
                 resident: s.frames.lock().len(),
-                // relaxed: statistics snapshot; values are monotonic
+                // protocol: relaxed statistics snapshot; values are monotonic
                 // counters and readers tolerate slight staleness.
                 hits: s.hits.load(Ordering::Relaxed),
                 misses: s.misses.load(Ordering::Relaxed),
@@ -328,7 +328,7 @@ impl BufferPool {
     }
 
     fn touch(&self, frame: &Frame) {
-        // relaxed: the clock is only a monotonic recency source and
+        // protocol: relaxed the clock is only a monotonic recency source and
         // last_used an eviction hint; a stale read picks a slightly
         // worse victim, never an incorrect one.
         frame.last_used.store(
@@ -356,7 +356,7 @@ impl BufferPool {
                 if let Some(frame) = frames.get(&id) {
                     frame.pin.fetch_add(1, Ordering::AcqRel);
                     self.touch(frame);
-                    // relaxed: hit counter is observability-only.
+                    // protocol: relaxed hit counter is observability-only.
                     shard.hits.fetch_add(1, Ordering::Relaxed);
                     self.metrics.hits.inc();
                     return Ok(FrameGuard {
@@ -396,7 +396,7 @@ impl BufferPool {
             self.resident.fetch_sub(1, Ordering::AcqRel);
             frame.pin.fetch_add(1, Ordering::AcqRel);
             self.touch(frame);
-            // relaxed: hit counter is observability-only.
+            // protocol: relaxed hit counter is observability-only.
             shard.hits.fetch_add(1, Ordering::Relaxed);
             self.metrics.hits.inc();
             return Ok(FrameGuard {
@@ -409,12 +409,12 @@ impl BufferPool {
             pin: AtomicU32::new(1),
             dirty: AtomicBool::new(!read_from_disk),
             dead: AtomicBool::new(false),
-            // relaxed: clock tick is a recency hint (see touch()).
+            // protocol: relaxed clock tick is a recency hint (see touch()).
             last_used: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
         });
         self.touch(&frame);
         frames.insert(id, Arc::clone(&frame));
-        // relaxed: miss counter is observability-only.
+        // protocol: relaxed miss counter is observability-only.
         shard.misses.fetch_add(1, Ordering::Relaxed);
         self.metrics.misses.inc();
         self.metrics.resident.set(self.resident() as u64);
@@ -434,7 +434,7 @@ impl BufferPool {
             let frames = shard.frames.lock();
             for f in frames.values() {
                 if f.pin.load(Ordering::Acquire) == 0 {
-                    // relaxed: recency hint read under the shard frames
+                    // protocol: relaxed recency hint read under the shard frames
                     // lock; staleness only affects victim quality.
                     let lu = f.last_used.load(Ordering::Relaxed);
                     if victim.is_none_or(|(best, _)| lu < best) {
@@ -466,7 +466,7 @@ impl BufferPool {
             // vetted nesting (see check/lockorder.toml).
             f.retire();
             self.resident.fetch_sub(1, Ordering::AcqRel);
-            // relaxed: eviction counter is observability-only.
+            // protocol: relaxed eviction counter is observability-only.
             shard.evictions.fetch_add(1, Ordering::Relaxed);
             self.metrics.evictions.inc();
             self.metrics.resident.set(self.resident() as u64);

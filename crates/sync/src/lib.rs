@@ -2,7 +2,7 @@
 //!
 //! Every concurrent hot path in the workspace takes its `Mutex`, `RwLock`,
 //! `Condvar`, and atomics from this crate instead of importing
-//! `parking_lot` or `std::sync::atomic` directly (`obr-cli check --lint`
+//! `parking_lot` or `std::sync::atomic` directly (`obr-cli check --protocol`
 //! enforces this). The facade has two personalities:
 //!
 //! * **Normal builds** (the default): a zero-cost passthrough. Lock types

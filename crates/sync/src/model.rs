@@ -47,7 +47,7 @@ static NEXT_OBJ: StdAtomicU64 = StdAtomicU64::new(1);
 
 /// Allocates a process-unique id for a sync object (lock, condvar, atomic).
 pub(crate) fn alloc_obj_id() -> u64 {
-    // relaxed: uniqueness is all that matters; ids are never compared for
+    // protocol: relaxed uniqueness is all that matters; ids are never compared for
     // ordering across threads.
     NEXT_OBJ.fetch_add(1, StdOrdering::Relaxed)
 }

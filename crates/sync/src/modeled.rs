@@ -377,7 +377,7 @@ pub mod atomic {
 
     fn ord_name(ord: Ordering) -> &'static str {
         match ord {
-            // relaxed: naming the ordering for traces, not performing an
+            // protocol: relaxed naming the ordering for traces, not performing an
             // atomic access.
             Ordering::Relaxed => "Relaxed",
             Ordering::Acquire => "Acquire",

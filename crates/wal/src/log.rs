@@ -1151,7 +1151,7 @@ mod tests {
     static SEG_TEST_DIRS: obr_sync::atomic::AtomicU64 = obr_sync::atomic::AtomicU64::new(0);
 
     fn seg_dir(tag: &str) -> std::path::PathBuf {
-        // relaxed: test-directory name uniqueness counter only.
+        // protocol: relaxed test-directory name uniqueness counter only.
         let n = SEG_TEST_DIRS.fetch_add(1, obr_sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("obr-seg-{tag}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -4,7 +4,6 @@
 //! obr-cli <dir> [--pages N] [--segment-bytes B]
 //! obr-cli check <dir> [--tree] [--locks] [--wal] [--all] [--live]
 //! obr-cli check --crash [--budget N] [--seed S] [--segment-bytes B] [--report PATH]
-//! obr-cli check --lint [--root DIR]
 //! obr-cli check --protocol [--root DIR] [--report PATH]
 //! obr-cli stats <dir> [--json]
 //! obr-cli stats --workload [--json] [--keep DIR]
@@ -39,19 +38,17 @@
 //! |                   | workloads; `--budget N --seed S` picks a           |
 //! |                   | deterministic sample for CI, `--segment-bytes B`   |
 //! |                   | sets the segmented-WAL scenario's seal threshold   |
-//! | `check --lint`    | concurrency source lint over the workspace tree at |
-//! |                   | `--root DIR` (default `.`): unjustified            |
-//! |                   | `Ordering::Relaxed`, raw `std::sync`/`parking_lot` |
-//! |                   | imports bypassing the `obr-sync` facade, and       |
-//! |                   | staleness of the lint whitelist itself             |
-//! | `check --protocol` | interprocedural protocol checker over the engine  |
-//! |                   | sources at `--root DIR` (default `.`): builds a    |
-//! |                   | whole-workspace call graph and proves              |
-//! |                   | WAL-before-data on every static mutation path,     |
-//! |                   | latch-acquisition orders against the vetted        |
-//! |                   | `check/lockorder.toml` manifest, and               |
-//! |                   | Release/Acquire pairing of atomic publication;     |
-//! |                   | `--report PATH` writes the full report to a file   |
+//! | `check --protocol` | the source checker over the workspace sources at |
+//! |                   | `--root DIR` (default `.`), one lexer pass per     |
+//! |                   | file: WAL-before-data on every static engine       |
+//! |                   | mutation path, latch-acquisition orders against    |
+//! |                   | the vetted `check/lockorder.toml` manifest,        |
+//! |                   | Release/Acquire pairing of atomic publication,     |
+//! |                   | a justification for every `Ordering::Relaxed`, no  |
+//! |                   | raw `std::sync`/`parking_lot` primitive bypassing  |
+//! |                   | the `obr-sync` facade, and a sound `Relaxed`       |
+//! |                   | whitelist; `--report PATH` writes the full report  |
+//! |                   | to a file                                          |
 //!
 //! `stats` prints the metrics registry — every counter, gauge (with its
 //! peak) and histogram documented in DESIGN.md "Observability" — either as
@@ -107,10 +104,26 @@ use obr::btree::SidePointerMode;
 use obr::core::{recover, Database, ReorgConfig, ReorgTrigger, Reorganizer};
 use obr::txn::{Session, TxnError};
 
+/// The value after `flag`, parsed; exits 2 with `usage` when it is
+/// missing or does not parse.
+fn arg<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    what: &str,
+    usage: &str,
+) -> T {
+    match it.next().and_then(|s| s.parse().ok()) {
+        Some(v) => v,
+        None => {
+            eprintln!("{flag} needs {what}\n{usage}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// `obr-cli check <dir> [--tree] [--locks] [--wal] [--all] [--live]`,
 /// `obr-cli check --crash [--budget N] [--seed S] [--segment-bytes B]
-/// [--report PATH]`, `obr-cli check --lint [--root DIR]`, or
-/// `obr-cli check --protocol [--root DIR] [--report PATH]`.
+/// [--report PATH]`, or `obr-cli check --protocol [--root DIR] [--report PATH]`.
 ///
 /// Selecting no family is the same as `--all`. With `--live` the database is
 /// opened and recovered first, and the tree fsck walks the live sharded
@@ -120,24 +133,18 @@ use obr::txn::{Session, TxnError};
 /// scripted workloads (exhaustive by default; `--budget`/`--seed` pick a
 /// deterministic sample; `--segment-bytes` sets the segmented-WAL
 /// scenario's seal threshold) and optionally writes the full report to
-/// `--report PATH`. `--lint` also needs no `<dir>`: it walks the `.rs`
-/// sources under `--root DIR` (default the current directory) with the
-/// concurrency source lint of [`obr::check::lint_sources`] and validates
-/// the `Relaxed`-whitelist with [`obr::check::check_whitelist`].
-/// `--protocol` likewise needs no `<dir>`: it runs the interprocedural
-/// protocol checker of [`obr::check::check_protocol`] over the engine
-/// sources and the lock-order manifest under `--root DIR` (default the
-/// current directory). Never exits through the shell path: the process
+/// `--report PATH`. `--protocol` also needs no `<dir>`: it runs the source
+/// checker of [`obr::check::check_protocol`] over the `.rs` sources and
+/// the lock-order manifest under `--root DIR` (default the current
+/// directory). Never exits through the shell path: the process
 /// status is the check result, non-zero only for error-severity findings.
 fn run_check(args: &[String]) -> ! {
     const USAGE: &str = "usage: obr-cli check <dir> [--tree] [--locks] [--wal] [--all] [--live]\n\
                          \x20      obr-cli check --crash [--budget N] [--seed S] \
                          [--segment-bytes B] [--report PATH]\n\
-                         \x20      obr-cli check --lint [--root DIR]\n\
                          \x20      obr-cli check --protocol [--root DIR] [--report PATH]";
     let mut dir: Option<std::path::PathBuf> = None;
     let (mut tree, mut locks, mut wal, mut live, mut crash) = (false, false, false, false, false);
-    let mut lint = false;
     let mut protocol = false;
     let mut root: Option<std::path::PathBuf> = None;
     let mut budget: Option<usize> = None;
@@ -152,48 +159,19 @@ fn run_check(args: &[String]) -> ! {
             "--wal" => wal = true,
             "--live" => live = true,
             "--crash" => crash = true,
-            "--lint" => lint = true,
             "--protocol" => protocol = true,
-            "--root" => match it.next() {
-                Some(p) => root = Some(std::path::PathBuf::from(p)),
-                None => {
-                    eprintln!("--root needs a directory\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
+            "--root" => root = Some(arg(&mut it, "--root", "a directory", USAGE)),
             "--all" => {
                 tree = true;
                 locks = true;
                 wal = true;
             }
-            "--budget" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => budget = Some(n),
-                None => {
-                    eprintln!("--budget needs a number\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--seed" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => seed = n,
-                None => {
-                    eprintln!("--seed needs a number\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--segment-bytes" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => segment_bytes = Some(n),
-                None => {
-                    eprintln!("--segment-bytes needs a number\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--report" => match it.next() {
-                Some(p) => report_path = Some(std::path::PathBuf::from(p)),
-                None => {
-                    eprintln!("--report needs a path\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
+            "--budget" => budget = Some(arg(&mut it, "--budget", "a number", USAGE)),
+            "--seed" => seed = arg(&mut it, "--seed", "a number", USAGE),
+            "--segment-bytes" => {
+                segment_bytes = Some(arg(&mut it, "--segment-bytes", "a number", USAGE))
+            }
+            "--report" => report_path = Some(arg(&mut it, "--report", "a path", USAGE)),
             other if !other.starts_with("--") && dir.is_none() => {
                 dir = Some(std::path::PathBuf::from(other));
             }
@@ -205,25 +183,13 @@ fn run_check(args: &[String]) -> ! {
         }
     }
 
-    if lint {
-        let root = root.unwrap_or_else(|| std::path::PathBuf::from("."));
-        if !root.is_dir() {
-            eprintln!("--root {} is not a directory", root.display());
-            std::process::exit(2);
-        }
-        println!("== concurrency source lint: {}", root.display());
-        let mut report = obr::check::lint_sources(&root);
-        report.merge(obr::check::check_whitelist(&root));
-        print!("{report}");
-        exit_with(&report);
-    }
     if protocol {
         let root = root.unwrap_or_else(|| std::path::PathBuf::from("."));
         if !root.is_dir() {
             eprintln!("--root {} is not a directory", root.display());
             std::process::exit(2);
         }
-        println!("== interprocedural protocol check: {}", root.display());
+        println!("== source check: {}", root.display());
         let report = match obr::check::check_protocol(&root) {
             Ok(r) => r,
             Err(e) => {
@@ -382,13 +348,7 @@ fn run_stats(args: &[String]) -> ! {
         match a.as_str() {
             "--json" => json = true,
             "--workload" => workload = true,
-            "--keep" => match it.next() {
-                Some(p) => keep = Some(std::path::PathBuf::from(p)),
-                None => {
-                    eprintln!("--keep needs a directory\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
+            "--keep" => keep = Some(arg(&mut it, "--keep", "a directory", USAGE)),
             other if !other.starts_with("--") && dir.is_none() => {
                 dir = Some(std::path::PathBuf::from(other));
             }
@@ -459,13 +419,7 @@ fn run_trace(args: &[String]) -> ! {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => match it.next() {
-                Some(p) => out = Some(std::path::PathBuf::from(p)),
-                None => {
-                    eprintln!("--out needs a path\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
+            "--out" => out = Some(arg(&mut it, "--out", "a path", USAGE)),
             other => {
                 eprintln!("unknown trace argument {other}\n{USAGE}");
                 std::process::exit(2);
@@ -603,29 +557,18 @@ fn run_serve(args: &[String]) -> ! {
     let mut addr = String::from("127.0.0.1:4140");
     let mut pages = 16_384u32;
     let mut cfg = obr::core::EngineConfig::default();
-    fn num(it: &mut std::slice::Iter<'_, String>, name: &str, usage: &str) -> u64 {
-        match it.next().and_then(|s| s.parse().ok()) {
-            Some(n) => n,
-            None => {
-                eprintln!("{name} needs a number\n{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => match it.next() {
-                Some(a) => addr = a.clone(),
-                None => {
-                    eprintln!("--addr needs an address\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--pages" => pages = num(&mut it, "--pages", USAGE) as u32,
-            "--segment-bytes" => cfg.wal_segment_bytes = num(&mut it, "--segment-bytes", USAGE),
-            "--max-sessions" => cfg.max_sessions = num(&mut it, "--max-sessions", USAGE) as usize,
-            "--queue" => cfg.admission_queue = num(&mut it, "--queue", USAGE) as usize,
+            "--addr" => addr = arg(&mut it, "--addr", "an address", USAGE),
+            "--pages" => pages = arg(&mut it, "--pages", "a number", USAGE),
+            "--segment-bytes" => {
+                cfg.wal_segment_bytes = arg(&mut it, "--segment-bytes", "a number", USAGE)
+            }
+            "--max-sessions" => {
+                cfg.max_sessions = arg(&mut it, "--max-sessions", "a number", USAGE)
+            }
+            "--queue" => cfg.admission_queue = arg(&mut it, "--queue", "a number", USAGE),
             other if !other.starts_with("--") && dir.is_none() => {
                 dir = Some(std::path::PathBuf::from(other));
             }
@@ -791,41 +734,13 @@ fn run_scenarios(args: &[String]) -> ! {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--dir" => match it.next() {
-                Some(p) => opts.dir = std::path::PathBuf::from(p),
-                None => {
-                    eprintln!("--dir needs a directory\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--clients" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.clients = n,
-                None => {
-                    eprintln!("--clients needs a number\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--scale" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(f) => opts.scale = f,
-                None => {
-                    eprintln!("--scale needs a number\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out = Some(std::path::PathBuf::from(p)),
-                None => {
-                    eprintln!("--out needs a path\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--snapshots" => match it.next() {
-                Some(p) => opts.snapshots_dir = Some(std::path::PathBuf::from(p)),
-                None => {
-                    eprintln!("--snapshots needs a directory\n{USAGE}");
-                    std::process::exit(2);
-                }
-            },
+            "--dir" => opts.dir = arg(&mut it, "--dir", "a directory", USAGE),
+            "--clients" => opts.clients = arg(&mut it, "--clients", "a number", USAGE),
+            "--scale" => opts.scale = arg(&mut it, "--scale", "a number", USAGE),
+            "--out" => out = Some(arg(&mut it, "--out", "a path", USAGE)),
+            "--snapshots" => {
+                opts.snapshots_dir = Some(arg(&mut it, "--snapshots", "a directory", USAGE))
+            }
             other if !other.starts_with("--") && which.is_none() => {
                 which = Some(other.to_string());
             }

@@ -280,7 +280,7 @@ proptest! {
         use obr::wal::{segment, CheckpointData, LogManager, LogRecord, TxnId};
 
         static DIRS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        // relaxed: scratch-directory name uniqueness counter only.
+        // protocol: relaxed scratch-directory name uniqueness counter only.
         let n = DIRS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let root = std::env::temp_dir().join(format!("obr-prop-seg-{}-{n}", std::process::id()));
         std::fs::remove_dir_all(&root).ok();
